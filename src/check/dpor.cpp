@@ -105,7 +105,7 @@ void DporChecker::run_optimal(DporResult& result,
   std::vector<std::optional<std::uint64_t>> frame_fp;
   if (options_.stateful) frame_fp.emplace_back();
   std::vector<ActionFootprint> events;  // E: footprints of the executed prefix
-  std::vector<std::vector<bool>> hb;    // hb[i][k]: E[k] happens-before E[i]
+  dpor_detail::HappensBefore hb;        // over E
   std::vector<Action> enabled;
   // Raw apply count for the budget check only. The reported
   // stats.transitions is charged arrival-edge-exact — each execution's full
@@ -180,35 +180,20 @@ void DporChecker::run_optimal(DporResult& result,
     if (stack.empty()) return;
     Frame& parent = stack.back();
     events.pop_back();
-    hb.pop_back();
+    hb.pop();
     sys.undo();
     if (!parent.chosen_internal) parent.sleep.push_back(parent.chosen);
   };
-
-  // Direct-dependence scratch row, filled while the hb row is built and
-  // reused by the race scan (hb rows fold in the transitive closure, so
-  // they cannot answer "directly dependent" on their own).
-  std::vector<bool> direct_dep;
 
   // Appends ev's happens-before row, then scans the prefix for reversible
   // races ending in ev and schedules their reversal sequences
   // (notdep(e,E)·proc(ev)) at the frame before the raced event.
   auto append_event = [&](const ActionFootprint& ev) {
     const std::size_t n = events.size();
-    std::vector<bool> row(n, false);
-    direct_dep.assign(n, false);
-    for (std::size_t k = 0; k < n; ++k) {
-      if (mcapi::dependent(events[k], ev, mode)) {
-        direct_dep[k] = true;
-        row[k] = true;
-        const std::vector<bool>& below = hb[k];
-        for (std::size_t l = 0; l < below.size(); ++l) {
-          if (below[l]) row[l] = true;
-        }
-      }
-    }
+    hb.push([&](std::size_t k) {
+      return mcapi::dependent(events[k], ev, mode);
+    });
     events.push_back(ev);
-    hb.push_back(std::move(row));
     if (ev.internal) return;  // internal steps race with nothing
 
     // Feasibility simulations rewind the live System; the scan visits
@@ -218,20 +203,17 @@ void DporChecker::run_optimal(DporResult& result,
     for (std::size_t k = n; k-- > 0;) {
       const ActionFootprint& ek = events[k];
       if (ek.internal) continue;
-      if (!direct_dep[k]) continue;  // independent or ordered transitively
+      // Dependent with nothing happening between: independent and
+      // transitively ordered pairs are not races.
+      if (!hb.adjacent(k)) continue;
       if (ek.action == ev.action) continue;  // program order, not a race
-      bool adjacent = true;  // no event happens-between ek and ev
-      for (std::size_t m = k + 1; m < n && adjacent; ++m) {
-        if (hb[m][k] && hb[n][m]) adjacent = false;
-      }
-      if (!adjacent) continue;
 
       // Candidate reversal: everything after ek not causally behind it,
       // then the racing process itself.
       std::vector<ActionFootprint> v;
       v.reserve(n - k);
       for (std::size_t j = k + 1; j < n; ++j) {
-        if (!hb[j][k]) v.push_back(events[j]);
+        if (!hb.before(k, j)) v.push_back(events[j]);
       }
       v.push_back(ev);
 

@@ -12,7 +12,9 @@
 //    Jonsson, Sagonas: "Optimal dynamic partial order reduction",
 //    POPL'14/JACM'17, the technique behind the representative-execution
 //    generators of Maarand & Uustalu and MCA-aware dynamic verifiers): a
-//    vector-clock happens-before over the executed prefix detects
+//    happens-before relation over the executed prefix, kept as
+//    transitively closed bit rows packed into 64-bit words (one row per
+//    event, built by OR-ing the rows of its direct predecessors), detects
 //    reversible races as events are appended; each race schedules a
 //    minimal revisit sequence (notdep(e,E)·proc(e')) into the wakeup tree
 //    of the state before the race, unless a sleeping sibling already

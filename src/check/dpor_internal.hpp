@@ -1,7 +1,8 @@
 // Internals shared by the serial (dpor.cpp) and parallel
-// (dpor_parallel.cpp) optimal-DPOR translation units: the weak-initial
-// test, the wakeup-tree arena, the internal-step classifier, and the
-// "countable program" scan behind the counting feasibility fast path.
+// (dpor_parallel.cpp) optimal-DPOR translation units: the happens-before
+// relation over the executed prefix, the weak-initial test, the
+// wakeup-tree arena, the internal-step classifier, and the "countable
+// program" scan behind the counting feasibility fast path.
 // Not part of the public check/ surface.
 #pragma once
 
@@ -16,6 +17,98 @@
 namespace mcsym::check::dpor_detail {
 
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+
+/// Happens-before over the events of the executed prefix, as a stack of
+/// transitively closed bit rows: row j holds bit k (k < j) iff event k
+/// happens before event j. Rows are packed into 64-bit words in one flat
+/// arena with a shared stride (words per row); the stride doubles, and
+/// every row is re-laid, when the path outgrows 64·stride events.
+///
+/// push() also keeps two scratch rows describing the newest event n:
+/// `direct` (the events it directly depends on) and `mid` (the union of
+/// those predecessors' own rows). Because rows are transitively closed,
+/// "some m happens between k and n" is exactly mid(k), so the race scan's
+/// adjacency test is one bit: adjacent(k) = direct(k) && !mid(k). The
+/// scratch rows describe the newest push only; pop() leaves them stale.
+class HappensBefore {
+ public:
+  [[nodiscard]] std::size_t size() const { return n_; }
+
+  /// Appends event n = size(); `depends(k)` says whether event k < n is
+  /// directly dependent on it. The new row is direct ∪ mid.
+  template <class Depends>
+  void push(Depends&& depends) {
+    const std::size_t n = n_;
+    if (n > kWordBits * stride_) grow();
+    direct_.assign(stride_, 0);
+    mid_.assign(stride_, 0);
+    for (std::size_t k = 0; k < n; ++k) {
+      if (!depends(k)) continue;
+      direct_[k / kWordBits] |= bit(k);
+      const std::uint64_t* below = &rows_[k * stride_];
+      for (std::size_t w = 0, words = words_for(k); w < words; ++w) {
+        mid_[w] |= below[w];
+      }
+    }
+    rows_.resize((n + 1) * stride_);
+    std::uint64_t* row = &rows_[n * stride_];
+    for (std::size_t w = 0; w < stride_; ++w) row[w] = direct_[w] | mid_[w];
+    n_ = n + 1;
+  }
+
+  /// Drops the newest event.
+  void pop() {
+    MCSYM_ASSERT(n_ > 0);
+    --n_;
+    rows_.resize(n_ * stride_);
+  }
+
+  /// Event k happens before event j (k < j < size()).
+  [[nodiscard]] bool before(std::size_t k, std::size_t j) const {
+    return (rows_[j * stride_ + k / kWordBits] & bit(k)) != 0;
+  }
+
+  /// The newest event directly depends on event k.
+  [[nodiscard]] bool direct(std::size_t k) const {
+    return (direct_[k / kWordBits] & bit(k)) != 0;
+  }
+
+  /// Event k and the newest event are dependent with no event
+  /// happening between them: direct(k) && !mid(k).
+  [[nodiscard]] bool adjacent(std::size_t k) const {
+    return direct(k) && (mid_[k / kWordBits] & bit(k)) == 0;
+  }
+
+ private:
+  static constexpr std::size_t kWordBits = 64;
+
+  [[nodiscard]] static std::uint64_t bit(std::size_t k) {
+    return std::uint64_t{1} << (k % kWordBits);
+  }
+
+  /// Words holding row k's bits (every bit of row k is below k).
+  [[nodiscard]] static std::size_t words_for(std::size_t k) {
+    return (k + kWordBits - 1) / kWordBits;
+  }
+
+  void grow() {
+    const std::size_t wider = stride_ * 2;
+    std::vector<std::uint64_t> rows(n_ * wider, 0);
+    for (std::size_t j = 0; j < n_; ++j) {
+      for (std::size_t w = 0; w < stride_; ++w) {
+        rows[j * wider + w] = rows_[j * stride_ + w];
+      }
+    }
+    rows_ = std::move(rows);
+    stride_ = wider;
+  }
+
+  std::size_t n_ = 0;
+  std::size_t stride_ = 1;
+  std::vector<std::uint64_t> rows_;  // row j at [j*stride_, (j+1)*stride_)
+  std::vector<std::uint64_t> direct_;
+  std::vector<std::uint64_t> mid_;
+};
 
 inline bool is_internal_step(const mcapi::System& state, const mcapi::Action& a) {
   if (a.kind != mcapi::Action::Kind::kThreadStep) return false;

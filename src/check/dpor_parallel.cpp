@@ -6,7 +6,8 @@
 // revisit sequences into *ancestor* frames, so sibling subtrees are not
 // independent tasks — a late insert may need to graft into a branch some
 // other worker is already exploring. The shared-tree design here keeps
-// every frame and branch live in shared memory for the whole run:
+// every frame and branch live in shared memory until every worker has
+// stopped exploring:
 //
 //  * The exploration tree (Node = frame, Branch = wakeup-tree root child)
 //    is never detached. Workers CLAIM branches in place; a claim is a
@@ -55,6 +56,13 @@
 //    explored). A worker whose own deque is empty runs steal rounds over
 //    random victims; after a failed round it checks outstanding_ == 0 and
 //    exits, else backs off (yield, then microsleeps) and tries again.
+//  * Teardown is parallel and owner-local. The worker that executes a
+//    branch allocates its child Node and records it; nothing else frees a
+//    node (a Branch does not own its child). When a worker stops — tree
+//    exhausted, violation, budget, or interrupt — it waits at a barrier
+//    for every peer, since until then a peer's graft or prefix replay may
+//    still walk into any node. Past the barrier each worker frees exactly
+//    the nodes it allocated; the root frame dies with the explorer.
 //
 // Determinism: sibling branches of a wakeup tree are NOT independent —
 // scans inside an earlier sibling's subtree graft sequences into later
@@ -83,6 +91,8 @@
 // partial, like any early exit.
 #include <algorithm>
 #include <atomic>
+#include <barrier>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <iterator>
@@ -138,12 +148,11 @@ struct Branch {
   std::uint32_t index = 0;      // position in owner's branch list
   bool pick = false;            // initial-pick seed, not scheduled material
   std::atomic<std::uint8_t> state{kStatePending};
-  std::atomic<Node*> child{nullptr};  // set when the branch executes
-
-  ~Branch();  // deletes the child subtree (teardown is single-threaded)
+  std::atomic<Node*> child{nullptr};  // set when the branch executes;
+                                      // freed by the worker that created it
 };
 
-/// Append-only chunked branch storage: chunk k holds 8 << k slots, so
+/// Append-only chunked branch storage: chunk k holds 2^k slots, so
 /// branches never move once constructed — their addresses are the deque
 /// entries and their atomics are CASed in place, which a reallocating
 /// vector could never support. Appends (under the owning node's mutex)
@@ -179,7 +188,7 @@ class BranchList {
     MCSYM_ASSERT(c < kMaxChunks);
     Branch* chunk = chunks_[c].load(std::memory_order_relaxed);
     if (chunk == nullptr) {
-      chunk = new Branch[std::size_t{8} << c];
+      chunk = new Branch[std::size_t{1} << c];
       chunks_[c].store(chunk, std::memory_order_release);
     }
     Branch& b = chunk[i - chunk_base(c)];
@@ -193,21 +202,17 @@ class BranchList {
   }
 
  private:
-  static constexpr std::uint32_t kMaxChunks = 28;
+  // Most frames hold one or two branches, so the first chunk is a single
+  // slot; 32 doublings cover every 32-bit index.
+  static constexpr std::uint32_t kMaxChunks = 32;
 
-  /// Chunk k covers indices [8*(2^k - 1), 8*(2^{k+1} - 1)).
+  /// Chunk k covers indices [2^k - 1, 2^{k+1} - 1).
   [[nodiscard]] static std::uint32_t chunk_of(std::uint32_t i) {
-    std::uint32_t q = (i >> 3) + 1;
-    std::uint32_t c = 0;
-    while (q > 1) {
-      q >>= 1;
-      ++c;
-    }
-    return c;
+    return static_cast<std::uint32_t>(std::bit_width(std::uint64_t{i} + 1)) - 1;
   }
 
   [[nodiscard]] static std::uint32_t chunk_base(std::uint32_t c) {
-    return 8u * ((1u << c) - 1u);
+    return static_cast<std::uint32_t>((std::uint64_t{1} << c) - 1);
   }
 
   mutable std::atomic<Branch*> chunks_[kMaxChunks] = {};
@@ -230,8 +235,6 @@ struct Node {
   bool maximal = false;  // no enabled action at this state
 };
 
-Branch::~Branch() { delete child.load(std::memory_order_relaxed); }
-
 class ParallelExplorer {
  public:
   ParallelExplorer(const mcapi::Program& program, const DporOptions& options,
@@ -240,7 +243,8 @@ class ParallelExplorer {
         options_(options),
         timer_(timer),
         mode_(options.mode),
-        countable_(dpor_detail::countable_program(program, options.mode)) {}
+        countable_(dpor_detail::countable_program(program, options.mode)),
+        teardown_(static_cast<std::ptrdiff_t>(options.workers)) {}
 
   void run(DporResult& result);
 
@@ -259,10 +263,12 @@ class ParallelExplorer {
     std::uint64_t rng;  // victim-selection stream (splitmix-style)
     std::vector<Node*> path;  // path[d] = node at depth d; back() = position
     std::vector<ActionFootprint> events;  // events[d] = arrival into path[d+1]
-    std::vector<std::vector<bool>> hb;
+    dpor_detail::HappensBefore hb;        // over events
     std::vector<Action> enabled;
-    std::vector<bool> direct_dep;
     std::vector<Node*> chain;  // navigate scratch
+    // Every Node this worker allocated. The worker frees them itself once
+    // all workers have stopped touching the tree (see worker_main).
+    std::vector<std::unique_ptr<Node>> nodes;
     DporStats stats;
     std::uint64_t probe = 0;
     // count_feasible scratch
@@ -282,6 +288,8 @@ class ParallelExplorer {
                       const std::vector<ActionFootprint>& v);
   void navigate(Worker& w, Node* target);
   void push_event(Worker& w, const ActionFootprint& ev);
+  /// Undoes the newest event on the worker's System, events and hb.
+  void pop_event(Worker& w);
   /// Inserts `w_` below `f`, walking branches >= min_branch at the top
   /// level and every branch deeper. Locks one node at a time (appends and
   /// subtree grafts only); a fresh branch is pushed onto the calling
@@ -343,6 +351,8 @@ class ParallelExplorer {
   std::atomic<bool> stop_{false};
   std::atomic<bool> truncated_{false};
   std::atomic<std::uint64_t> transitions_{0};
+  /// Every worker arrives once it stops exploring (see worker_main).
+  std::barrier<> teardown_;
 
   // Result fields (violation / deadlock / stats merge), guarded separately
   // so a finisher never contends with tree traffic.
@@ -362,21 +372,16 @@ bool ParallelExplorer::over_budget(Worker& w) {
 }
 
 void ParallelExplorer::push_event(Worker& w, const ActionFootprint& ev) {
-  const std::size_t n = w.events.size();
-  std::vector<bool> row(n, false);
-  w.direct_dep.assign(n, false);
-  for (std::size_t k = 0; k < n; ++k) {
-    if (mcapi::dependent(w.events[k], ev, mode_)) {
-      w.direct_dep[k] = true;
-      row[k] = true;
-      const std::vector<bool>& below = w.hb[k];
-      for (std::size_t l = 0; l < below.size(); ++l) {
-        if (below[l]) row[l] = true;
-      }
-    }
-  }
+  w.hb.push([&](std::size_t k) {
+    return mcapi::dependent(w.events[k], ev, mode_);
+  });
   w.events.push_back(ev);
-  w.hb.push_back(std::move(row));
+}
+
+void ParallelExplorer::pop_event(Worker& w) {
+  w.sys.undo();
+  w.events.pop_back();
+  w.hb.pop();
 }
 
 bool ParallelExplorer::count_feasible(Worker& w, std::size_t k,
@@ -509,20 +514,17 @@ void ParallelExplorer::scan_races(Worker& w, const ActionFootprint& ev) {
   for (std::size_t k = n; k-- > 0;) {
     const ActionFootprint& ek = w.events[k];
     if (ek.internal) continue;
-    if (!w.direct_dep[k]) continue;  // independent or ordered transitively
+    // Dependent with nothing happening between: independent and
+    // transitively ordered pairs are not races.
+    if (!w.hb.adjacent(k)) continue;
     if (ek.action == ev.action) continue;  // program order, not a race
-    bool adjacent = true;  // no event happens-between ek and ev
-    for (std::size_t m = k + 1; m < n && adjacent; ++m) {
-      if (w.hb[m][k] && w.hb[n][m]) adjacent = false;
-    }
-    if (!adjacent) continue;
 
     // Candidate reversal: everything after ek not causally behind it,
     // then the racing process itself.
     v.clear();
     v.reserve(n - k);
     for (std::size_t j = k + 1; j < n; ++j) {
-      if (!w.hb[j][k]) v.push_back(w.events[j]);
+      if (!w.hb.before(k, j)) v.push_back(w.events[j]);
     }
     v.push_back(ev);
 
@@ -711,7 +713,7 @@ Node* ParallelExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
   // b.subtree and are peeled here; grafts after it descend through
   // b.child. Only this handoff locks; the child's branch list is built
   // while the child is still unpublished.
-  Node* cp = new Node;
+  Node* cp = w.nodes.emplace_back(std::make_unique<Node>()).get();
   cp->parent = node;
   cp->parent_branch = bi;
   cp->depth = node->depth + 1;
@@ -780,9 +782,7 @@ Node* ParallelExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
       ++w.stats.parallel_duplicates;
     }
     retire(b);
-    w.sys.undo();
-    w.events.pop_back();
-    w.hb.pop_back();
+    pop_event(w);
     return nullptr;
   }
 
@@ -823,9 +823,7 @@ void ParallelExplorer::explore(Worker& w, Node* entry, std::uint32_t entry_branc
       if (node == entry) return;  // claimed subtree fully explored
       Node* parent = node->parent;
       retire(parent->branches[node->parent_branch]);
-      w.sys.undo();
-      w.events.pop_back();
-      w.hb.pop_back();
+      pop_event(w);
       w.path.pop_back();
       node = parent;
     }
@@ -843,9 +841,7 @@ void ParallelExplorer::navigate(Worker& w, Node* target) {
   }
   MCSYM_ASSERT(common >= 1);  // the root is always shared
   while (w.path.size() > common) {
-    w.sys.undo();
-    w.events.pop_back();
-    w.hb.pop_back();
+    pop_event(w);
     w.path.pop_back();
   }
   const std::uint64_t replayed = w.chain.size() - common;
@@ -919,6 +915,13 @@ void ParallelExplorer::worker_main(std::uint32_t id) {
     navigate(w, b->owner);
     explore(w, b->owner, b->index);
   }
+
+  // Until every worker has stopped, a peer may still walk into any node
+  // (a graft descending into a child, a navigate replaying a prefix).
+  // Past the barrier nobody does, so the workers free the tree in
+  // parallel, each its own allocations.
+  teardown_.arrive_and_wait();
+  w.nodes.clear();
 
   std::lock_guard<std::mutex> g(result_mu_);
   DporStats& st = result_->stats;

@@ -5,7 +5,12 @@
 // both must agree with the unreduced explicit checker on every verdict.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "check/dpor.hpp"
+#include "check/dpor_internal.hpp"
 #include "check/explicit_checker.hpp"
 #include "check/random_program.hpp"
 #include "check/workloads.hpp"
@@ -364,6 +369,97 @@ TEST(DporTest, MessageChainDependence) {
   ASSERT_TRUE(fp_recv.has_message);
   EXPECT_EQ(fp_recv.message_op, 0u);  // pops the delivered #0 ...
   EXPECT_TRUE(checker.independent(sys, step_b, del));  // ... not in-transit #1
+}
+
+// dpor_detail::HappensBefore against the unpacked construction it
+// replaced: one vector<bool> row per event, predecessors' rows OR-ed bit by
+// bit, and adjacency as "no m with hb[m][k] && hb[n][m]". Random footprint
+// streams push and pop toward targets on both sides of the 64- and
+// 128-event word boundaries, so stride growth happens mid-sequence, with
+// rows already stored, and popping back below a boundary keeps the wider
+// stride.
+TEST(DporTest, HappensBeforeMatchesUnpackedReference) {
+  using mcapi::Action;
+  using mcapi::ActionFootprint;
+  constexpr std::uint32_t kThreads = 6;
+  constexpr std::uint32_t kEndpoints = 5;
+  for (std::uint32_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    std::mt19937 rng(seed);
+    auto pick = [&rng](std::uint32_t n) {
+      return static_cast<std::uint32_t>(rng() % n);
+    };
+    auto random_footprint = [&] {
+      ActionFootprint f;
+      if (pick(3) == 0) {
+        f.action.kind = Action::Kind::kDeliver;
+        f.action.channel = {pick(kEndpoints), pick(kEndpoints)};
+        f.channel = f.action.channel;
+      } else {
+        f.action.kind = Action::Kind::kThreadStep;
+        f.action.thread = pick(kThreads);
+        f.op = pick(2) == 0 ? mcapi::OpKind::kSend : mcapi::OpKind::kRecv;
+        f.internal = pick(8) == 0;
+        f.op_index = pick(4);
+      }
+      f.has_message = pick(2) == 0;
+      f.message_thread = pick(kThreads);
+      f.message_op = pick(4);
+      return f;
+    };
+
+    std::vector<ActionFootprint> events;
+    std::vector<std::vector<bool>> ref;  // ref[j][k]: k happens before j
+    dpor_detail::HappensBefore hb;
+    for (const std::size_t target : {70u, 40u, 140u, 100u, 200u, 5u, 131u}) {
+      while (events.size() != target) {
+        const bool grow = events.size() < target ? pick(4) != 0 : pick(4) == 0;
+        if (!grow && !events.empty()) {
+          events.pop_back();
+          ref.pop_back();
+          hb.pop();
+          ASSERT_EQ(hb.size(), events.size());
+          continue;
+        }
+        const ActionFootprint ev = random_footprint();
+        const std::size_t n = events.size();
+        std::vector<bool> direct(n, false);
+        std::vector<bool> row(n, false);
+        for (std::size_t k = 0; k < n; ++k) {
+          if (!mcapi::dependent(events[k], ev, mcapi::DeliveryMode::kArbitraryDelay)) {
+            continue;
+          }
+          direct[k] = true;
+          row[k] = true;
+          for (std::size_t l = 0; l < ref[k].size(); ++l) {
+            if (ref[k][l]) row[l] = true;
+          }
+        }
+        hb.push([&](std::size_t k) {
+          return mcapi::dependent(events[k], ev,
+                                  mcapi::DeliveryMode::kArbitraryDelay);
+        });
+        events.push_back(ev);
+        ref.push_back(std::move(row));
+        ASSERT_EQ(hb.size(), events.size());
+        for (std::size_t k = 0; k < n; ++k) {
+          bool adjacent = direct[k];
+          for (std::size_t m = k + 1; m < n && adjacent; ++m) {
+            if (ref[m][k] && ref[n][m]) adjacent = false;
+          }
+          ASSERT_EQ(hb.direct(k), direct[k]) << "n=" << n << " k=" << k;
+          ASSERT_EQ(hb.adjacent(k), adjacent) << "n=" << n << " k=" << k;
+          ASSERT_EQ(hb.before(k, n), ref[n][k]) << "n=" << n << " k=" << k;
+        }
+      }
+      // Every stored row, including those re-laid by a stride growth.
+      for (std::size_t j = 0; j < events.size(); ++j) {
+        for (std::size_t k = 0; k < j; ++k) {
+          ASSERT_EQ(hb.before(k, j), ref[j][k]) << "j=" << j << " k=" << k;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -309,6 +309,61 @@ TEST(ParallelDporTest, StealHeavyStressMatchesSerial) {
   }
 }
 
+// `racers` senders race `msgs_each` messages each into one sink (the
+// message_race core: (racers·msgs_each)! / msgs_each!^racers traces),
+// while the same receiver first drains a `chain`-message stream from a
+// feeder on a second endpoint. The stream adds 3·chain events to every
+// execution and no trace, so paths grow long while the trace count stays.
+mcapi::Program long_chain_race(std::uint32_t chain, std::uint32_t racers,
+                               std::uint32_t msgs_each) {
+  mcapi::Program p;
+  auto rx = p.add_thread("rx");
+  const auto log = p.add_endpoint("log", rx.ref());
+  const auto sink = p.add_endpoint("sink", rx.ref());
+  auto feed = p.add_thread("feed");
+  const auto fo = p.add_endpoint("fo", feed.ref());
+  for (std::uint32_t i = 0; i < chain; ++i) feed.send(fo, log, i);
+  for (std::uint32_t s = 0; s < racers; ++s) {
+    auto tx = p.add_thread("tx" + std::to_string(s));
+    const auto out = p.add_endpoint("out" + std::to_string(s), tx.ref());
+    for (std::uint32_t k = 0; k < msgs_each; ++k) {
+      tx.send(out, sink, 100 * (s + 1) + k);
+    }
+  }
+  for (std::uint32_t i = 0; i < chain; ++i) {
+    rx.recv(log, "c" + std::to_string(i));
+  }
+  for (std::uint32_t m = 0; m < racers * msgs_each; ++m) {
+    rx.recv(sink, "m" + std::to_string(m));
+  }
+  p.finalize();
+  return p;
+}
+
+// Executions longer than 128 events: every happens-before row outgrows two
+// 64-bit words mid-path, and races are scanned across word boundaries. The
+// workload zoo tops out near 50 events per execution, so nothing else
+// reaches this regime.
+TEST(ParallelDporTest, LongPathsMatchSerial) {
+  const mcapi::Program p = long_chain_race(45, 3, 2);
+  const DporResult serial = run_optimal(p, 1);
+  ASSERT_FALSE(serial.truncated);
+  EXPECT_EQ(serial.stats.executions, 90u);
+  EXPECT_EQ(serial.stats.terminal_states, 90u);
+  // Every execution has the same length; make sure it really is > 128.
+  EXPECT_GT(serial.stats.transitions, 128 * serial.stats.executions);
+  for (const std::uint32_t workers : {2u, 4u}) {
+    const DporResult r = run_optimal(p, workers);
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    EXPECT_FALSE(r.truncated);
+    EXPECT_FALSE(r.violation_found);
+    EXPECT_FALSE(r.deadlock_found);
+    EXPECT_EQ(r.stats.executions, serial.stats.executions);
+    EXPECT_EQ(r.stats.terminal_states, serial.stats.terminal_states);
+    EXPECT_EQ(r.stats.transitions, serial.stats.transitions);
+  }
+}
+
 // The cooperative cancellation hook is probed concurrently by every
 // worker; returning true must stop the whole fleet with truncated set.
 TEST(ParallelDporTest, InterruptStopsAllWorkers) {
