@@ -110,10 +110,10 @@ void differential_iteration(std::uint64_t seed, const DifferentialOptions& optio
   report.deadlocked_runs += ps.deadlocked_runs;
   report.optimal_redundant_paths += ps.optimal_redundant_paths;
 
-  // Serial-vs-parallel optimal DPOR, head to head: the sharded engine must
-  // reproduce the serial engine's verdicts and trace-determined counters
-  // exactly (raced duplicates land in parallel_duplicates, never in the
-  // trace counters — see DporOptions::workers).
+  // Optimal DPOR at one worker vs a fleet, head to head: the fleet must
+  // reproduce the serial (one-worker) verdicts and trace-determined
+  // counters exactly (killed paths land in parallel_duplicates, never in
+  // the trace counters — see DporOptions::workers).
   if (options.dpor_workers > 1) {
     DporOptions dopts;
     dopts.max_transitions = options.dpor_max_transitions;

@@ -31,9 +31,9 @@
 // causal pairs (a send vs. the delivery of its own message) are never
 // scheduled as reversals.
 //
-// State management is checkpoint/undo, not copy-the-world: both modes keep
-// ONE live journaling System (System::enable_undo_log) walked up and down
-// the exploration stack — descending applies the chosen action, popping a
+// State management is checkpoint/undo, not copy-the-world: each searching
+// thread keeps ONE live journaling System (System::enable_undo_log) walked
+// up and down its path — descending applies the chosen action, popping a
 // frame undoes it, and a frame's checkpoint is simply its depth (exactly
 // one undo record per applied action). Race-reversal simulation is
 // apply -> inspect -> undo on that same live state: rewind to the pre-race
@@ -75,24 +75,21 @@ struct DporOptions {
   /// every worker probes it concurrently, so the callable must be
   /// thread-safe (the facade's is).
   std::function<bool()> interrupted;
-  /// Exploration threads for optimal mode. 1 (default) runs the serial code
-  /// path byte-for-byte. N > 1 explores the wakeup tree with a
-  /// work-stealing scheduler: each worker owns a Chase–Lev deque of
-  /// unexplored branches (LIFO descent locally, oldest-first steals by idle
-  /// peers), claims branches lock-free via CAS, and replays claimed
-  /// prefixes on its own journaling System.
-  /// The trace-determined counters — executions, terminal_states, deadlock
-  /// counts — and all verdicts are identical to serial on non-violating
-  /// programs for every N (sleep sets kill raced duplicate explorations
-  /// before they complete; their work lands in parallel_duplicates, not in
-  /// the trace counters). Sleep-set-blocked paths also land there, so
-  /// redundant_explorations is always 0 in parallel and executions equals
-  /// serial executions minus serial redundant_explorations (equal outright
-  /// whenever serial redundant is 0, i.e. on every observer-free program).
-  /// transitions is charged arrival-edge-exact (see DporStats) and is
-  /// identical to serial at every N; races_detected / wakeup_nodes are
-  /// scheduling-work counters and depend on claim order. Sleep-set mode
-  /// ignores this and always runs serially.
+  /// Exploration threads for optimal mode; 0 counts as 1. Every N runs the
+  /// one optimal explorer: 1 (default) explores on the calling thread in
+  /// sibling order; N > 1 spawns a work-stealing fleet — each worker owns a
+  /// Chase–Lev deque of unexplored branches (LIFO descent locally,
+  /// oldest-first steals by idle peers), claims branches lock-free via
+  /// CAS, and replays claimed prefixes on its own journaling System.
+  /// terminal_states, deadlock verdicts and all verdicts on non-violating
+  /// programs, and transitions (charged arrival-edge-exact, see DporStats)
+  /// are the same for every N. A fleet files every sleep-killed path
+  /// (raced duplicates and sleep-set-blocked paths alike) in
+  /// parallel_duplicates, so its redundant_explorations is 0 and its
+  /// executions is one worker's executions minus one worker's
+  /// redundant_explorations. races_detected / wakeup_nodes count
+  /// scheduling work and depend on claim order. Sleep-set mode ignores
+  /// this and always runs on the calling thread.
   std::uint32_t workers = 1;
   /// Stateful exploration (check/state_space.hpp): cut descent at on-stack
   /// fingerprint revisits (classifying non-progressive cycles into a
@@ -103,8 +100,9 @@ struct DporOptions {
   /// here was covered on some other path) — and pruning additionally
   /// requires an empty incoming wakeup subtree (scheduled race reversals
   /// are never discarded by a hit). Cut paths are counted in the
-  /// state-space counters, never in executions/transitions. Forces the
-  /// serial optimal path: workers is ignored while stateful is set.
+  /// state-space counters, never in executions/transitions. The store and
+  /// cycle stack are not shared between threads, so workers is ignored
+  /// while stateful is set: the explorer runs one worker.
   /// CAVEAT — cycle cutting interacts with wakeup-tree scheduling: a
   /// reversal whose target lies beyond a cut revisit is dropped with the
   /// cut, so on cyclic programs stateful DPOR is a terminating
@@ -125,8 +123,8 @@ struct DporStats {
   /// Arrival-edge-exact transition charge: the sum over completed
   /// executions (terminal, deadlocked, or violating maximal paths) of the
   /// execution's full path length, charged at the moment the execution
-  /// completes. Sleep-set-blocked paths (serial) and raced duplicates
-  /// (parallel) charge nothing. Every linearization of a Mazurkiewicz
+  /// completes. Sleep-set-blocked paths and raced duplicates charge
+  /// nothing. Every linearization of a Mazurkiewicz
   /// trace has the same length, so the sum depends only on the set of
   /// completed traces — it is identical across exploration orders and
   /// worker counts. The max_transitions budget is enforced against the raw
@@ -143,12 +141,13 @@ struct DporStats {
   std::uint64_t redundant_explorations = 0;  // sleep-set-blocked maximal paths
   /// workers > 1 only: explorations abandoned because a concurrent claim
   /// raced a scheduled insert (the sibling-order dependency wakeup trees
-  /// impose cannot be kept exactly under concurrency). Sleep sets kill
-  /// every such duplicate before it completes, and its work is excluded
-  /// from executions/transitions/terminal_states — those counters stay
-  /// equal to the serial engine's. Always 0 when workers == 1.
+  /// impose cannot be kept exactly under concurrency), plus the fleet's
+  /// sleep-set-blocked paths, which it cannot tell apart. Sleep sets kill
+  /// every such path before it completes, and its work is excluded from
+  /// executions/transitions/terminal_states. Always 0 when workers == 1.
   std::uint64_t parallel_duplicates = 0;
-  // Work-stealing scheduler telemetry (workers > 1 only; all 0 serially).
+  // Work-stealing scheduler telemetry (workers > 1 only; all 0 for one
+  // worker).
   // These count scheduling WORK, not trace structure: like races_detected
   // they vary run to run with thread timing, and are surfaced so contention
   // is measurable, not pinned.
@@ -202,33 +201,22 @@ class DporChecker {
                                  const mcapi::Action& b) const;
 
  private:
-  void run_optimal(DporResult& result, const support::Stopwatch& timer);
-  /// Work-stealing optimal exploration (options_.workers > 1): the whole
-  /// wakeup tree lives in shared memory, every worker owns a Chase–Lev
-  /// deque of unexplored branches, claims are lock-free CAS transitions on
-  /// the branch state, and idle workers steal oldest-first from random
-  /// victims, replaying the claimed prefix on their own journaling System.
-  /// Implemented in dpor_parallel.cpp.
-  void run_parallel(DporResult& result, const support::Stopwatch& timer);
-  /// Sleep-set DFS over the live journaling `sys`: each visited action is
-  /// applied, explored, and rolled back to the frame's checkpoint.
-  void explore_sleepset(mcapi::System& sys, std::vector<mcapi::Action>& sleep,
-                        std::vector<mcapi::Action>& script, DporResult& result,
-                        const support::Stopwatch& timer);
-  [[nodiscard]] bool over_time_budget(const support::Stopwatch& timer) const;
+  /// Optimal exploration at any worker count (dpor_optimal.cpp): one
+  /// shared exploration tree whose branches workers claim lock-free, each
+  /// worker owning a Chase–Lev deque of unexplored branches and replaying
+  /// claimed prefixes on its own journaling System. One worker runs on the
+  /// calling thread.
+  void explore_optimal(DporResult& result, const support::Stopwatch& timer);
+  /// Sleep-set DFS over one live journaling System with an explicit stack:
+  /// each visited action is applied, explored, and rolled back.
+  void explore_sleepset(DporResult& result, const support::Stopwatch& timer);
 
   const mcapi::Program& program_;
   DporOptions options_;
   // Stateful mode: the bounded visited store and on-path fingerprints,
-  // reset per run(). Shared by the optimal loop and the sleep-set DFS.
+  // reset per run(). Shared by the optimal explorer and the sleep-set DFS.
   VisitedStateStore store_{0};
   CycleStack cycle_stack_;
-  // Clock-read amortization for over_time_budget (single-threaded runs).
-  mutable std::uint64_t budget_probe_ = 0;
-  // Raw apply count driving max_transitions in the sleep-set DFS; the
-  // reported stats.transitions is charged at execution completion instead
-  // (see DporStats::transitions).
-  std::uint64_t sleepset_applied_ = 0;
 };
 
 }  // namespace mcsym::check

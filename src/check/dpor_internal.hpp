@@ -1,16 +1,20 @@
-// Internals shared by the serial (dpor.cpp) and parallel
-// (dpor_parallel.cpp) optimal-DPOR translation units: the happens-before
-// relation over the executed prefix, the weak-initial test, the
-// wakeup-tree arena, the internal-step classifier, and the "countable
-// program" scan behind the counting feasibility fast path.
+// Internals of the optimal-DPOR explorer (dpor_optimal.cpp): the
+// happens-before relation over the executed prefix, the weak-initial test,
+// the wakeup-tree arena, and the "countable program" scan behind the
+// counting feasibility fast path; plus what it shares with the sleep-set
+// search (dpor.cpp): the internal-step classifier and the stateful arrival
+// rule.
 // Not part of the public check/ surface.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "check/dpor.hpp"
+#include "check/state_space.hpp"
 #include "mcapi/system.hpp"
 #include "support/assert.hpp"
 
@@ -220,6 +224,46 @@ class WakeupTree {
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> root_kids_;
 };
+
+/// The stateful arrival rule of both DPOR modes, at a non-maximal state
+/// reached by `depth` actions. An on-path revisit cuts the state —
+/// regardless of progress, which bounds path length on cyclic programs —
+/// and one with no match recorded since the first visit is a realized
+/// livelock; the first becomes the lasso witness (`script()` returns the
+/// path's actions). Only sleep-free states are roots of complete subtrees,
+/// so only they are stored, and a store hit prunes only when no wakeup
+/// subtree is scheduled here (reversal sequences are never discarded).
+/// Returns false when the state is cut or pruned; otherwise registers it
+/// on the cycle stack and returns its fingerprint in `fp`.
+template <class Script>
+bool enter_state(const mcapi::System& sys, std::size_t depth, bool sleep_free,
+                 bool scheduled, VisitedStateStore& store, CycleStack& cycles,
+                 DporResult& result, Script&& script,
+                 std::optional<std::uint64_t>& fp) {
+  const std::uint64_t here = sys.fingerprint();
+  if (const auto prev = cycles.find(here)) {
+    ++result.stats.state_space.cycles_found;
+    if (sys.matches().size() <= prev->progress) {
+      ++result.stats.state_space.nonprogressive_cycles;
+      if (!result.non_termination_found) {
+        result.non_termination_found = true;
+        split_lasso(script(), prev->depth, result.lasso_stem,
+                    result.lasso_cycle);
+      }
+    }
+    return false;
+  }
+  if (sleep_free) {
+    if (!scheduled) {
+      if (store.visit(here)) return false;
+    } else if (!store.contains(here)) {
+      store.insert(here);
+    }
+  }
+  cycles.push(here, depth, sys.matches().size());
+  fp = here;
+  return true;
+}
 
 /// Whether race-reversal feasibility can be decided by pure integer
 /// counting over footprints: a program whose only operations are send /

@@ -1,94 +1,77 @@
-// Work-stealing parallel optimal-DPOR exploration (DporOptions::workers > 1).
+// Optimal DPOR (DporMode::kOptimal) at every worker count: one exploration
+// tree, explored by one worker on the calling thread or by a work-stealing
+// fleet.
 //
-// The serial engine (dpor.cpp, run_optimal) walks ONE wakeup tree
-// depth-first, detaching each branch as it descends. That detachment is
-// what parallelism must undo: a race found deep in one subtree schedules
-// revisit sequences into *ancestor* frames, so sibling subtrees are not
-// independent tasks — a late insert may need to graft into a branch some
-// other worker is already exploring. The shared-tree design here keeps
-// every frame and branch live in shared memory until every worker has
-// stopped exploring:
+// A race found deep in one subtree schedules revisit sequences into
+// *ancestor* frames, so sibling subtrees are not independent tasks — a late
+// insert may need to graft into a branch another worker is exploring. The
+// tree therefore lives in shared memory and is never detached:
 //
-//  * The exploration tree (Node = frame, Branch = wakeup-tree root child)
-//    is never detached. Workers CLAIM branches in place; a claim is a
-//    checkpoint recipe — walk parent pointers to recover the prefix
-//    schedule, replay it on the worker's own journaling System (rolling
-//    back only to the lowest common ancestor of the previous position),
-//    then explore the subtree depth-first exactly like the serial loop.
-//  * Scheduling is work stealing, not a shared queue. Every worker owns a
-//    Chase–Lev deque (steal_deque.hpp): branches it creates are pushed at
-//    the bottom and the next branch to run is popped from the bottom, so
-//    local exploration stays LIFO and journal-hot; an idle worker steals
-//    from the TOP of a random victim — the oldest entry, i.e. the branch
-//    highest in the tree: a large unexplored subtree behind a short
-//    navigate() replay. The branch a worker will descend into next is not
-//    pushed at all (its local claim is immediate), so the deques carry
-//    only the work a thief could usefully take.
-//  * Branch claims are lock-free: BranchState is an atomic and a claim is
-//    one CAS (kPending -> kClaimed). A branch reaches exactly one claimer
-//    no matter how many deque entries or frame scans race for it; losers
-//    count a claim_conflict and move on. The hot path of execute_branch —
-//    claim, sibling-prefix snapshot, sleep computation — takes no lock at
-//    all: branch storage is append-only and chunked (BranchList), so ev /
-//    pick / the sibling prefix below any published index are immutable,
-//    and readers never hold locks against the appender.
-//  * Mutation is node-local. Each Node carries its own mutex guarding
-//    exactly two things: appends to its branch list (wakeup-tree grafts
-//    from insert_into_node) and the scheduled-subtree handoff when one of
-//    its branches executes (b.subtree moves into the new child frame).
-//    Workers exploring disjoint subtrees share no locks whatsoever.
-//  * Sleep sets are EAGER and ordered: the sleep of branch b_i at a frame
-//    is the frame's inherited sleep plus the (non-internal) first actions
-//    of siblings ordered before b_i. Branch order is append-only (inserts
-//    graft under existing branches or append rightmost, never in front),
-//    so this set is fixed at b_i's creation — no need to wait for earlier
-//    siblings to COMPLETE, which is what serializes the serial algorithm.
-//    Sibling footprints are recomputed by the claimer at the frame's own
-//    state, so they equal what the serial engine would have recorded.
-//  * Race scans run once per tree edge: only the worker that first
-//    executes an event scans the prefix for reversible races; prefix
-//    replays rebuild events/happens-before rows but never re-scan, so
-//    races_detected and the insert set per tree position match the serial
-//    engine's.
-//  * Termination is steal-round quiescence, not a condition variable:
-//    `outstanding_` counts branches not yet retired (created before their
-//    parent retires, so it can only reach zero when the whole tree is
-//    explored). A worker whose own deque is empty runs steal rounds over
-//    random victims; after a failed round it checks outstanding_ == 0 and
-//    exits, else backs off (yield, then microsleeps) and tries again.
-//  * Teardown is parallel and owner-local. The worker that executes a
-//    branch allocates its child Node and records it; nothing else frees a
-//    node (a Branch does not own its child). When a worker stops — tree
-//    exhausted, violation, budget, or interrupt — it waits at a barrier
-//    for every peer, since until then a peer's graft or prefix replay may
-//    still walk into any node. Past the barrier each worker frees exactly
-//    the nodes it allocated; the root frame dies with the explorer.
+//  * Node = frame, Branch = wakeup-tree root child. Workers CLAIM branches
+//    in place; a claim is a checkpoint recipe — walk parent pointers to
+//    recover the prefix schedule, replay it on the worker's own journaling
+//    System (rolling back only to the lowest common ancestor of the
+//    previous position), then explore the subtree depth-first, claiming
+//    each frame's branches in sibling order.
+//  * Scheduling is work stealing. Every worker owns a Chase–Lev deque
+//    (steal_deque.hpp): branches it creates are pushed at the bottom and
+//    popped from the bottom, so local exploration stays LIFO and
+//    journal-hot; an idle worker steals from the TOP of a random victim —
+//    the branch highest in the tree, a large subtree behind a short
+//    navigate() replay. The branch a worker descends into next is never
+//    pushed (its local claim is immediate).
+//  * Branch claims are lock-free: a claim is one CAS on the branch state
+//    (kPending -> kClaimed), so a branch reaches exactly one claimer no
+//    matter how many deque entries or frame scans race for it; losers
+//    count a claim_conflict. Branch storage is append-only and chunked
+//    (BranchList), so ev / pick / the sibling prefix below any published
+//    index are immutable and the claim path takes no lock.
+//  * Mutation is node-local. Each Node's mutex guards appends to its
+//    branch list (grafts from insert_into_node) and the handoff of a
+//    branch's scheduled subtree into its child frame when it executes.
+//    Workers exploring disjoint subtrees share no locks.
+//  * Sleep sets are EAGER and ordered: the sleep of branch b_i is the
+//    frame's inherited sleep plus the (non-internal) first actions of the
+//    siblings ordered before b_i, footprinted at the frame's own state.
+//    Branch order is append-only, so the set is fixed when b_i is created
+//    — no waiting for earlier siblings to COMPLETE.
+//  * Race scans run once per tree edge, by the edge's first executor;
+//    prefix replays rebuild events/happens-before rows but never re-scan.
+//  * Termination is steal-round quiescence: `outstanding_` counts branches
+//    not yet retired (created before their parent retires, so it reaches
+//    zero only when the whole tree is explored). A worker whose deque is
+//    empty runs steal rounds; after a failed one it exits if
+//    outstanding_ == 0, else backs off (yield, then microsleeps).
+//  * Teardown is parallel and owner-local: each worker frees the nodes it
+//    allocated, after a barrier every worker reaches once it stops (until
+//    then a peer's graft or prefix replay may walk into any node).
 //
-// Determinism: sibling branches of a wakeup tree are NOT independent —
-// scans inside an earlier sibling's subtree graft sequences into later
-// siblings' chains, so exploring them concurrently can commit a worker to
-// a linearization the serial engine would have folded into a scheduled
-// chain. Such a raced path is always killed by its sleep set before it
-// completes (the eager ordered-before entries survive filtering until the
-// path would execute them), so on violation-free programs the set of
-// COMPLETED maximal executions is still exactly one representative per
-// Mazurkiewicz trace: executions / terminal_states / deadlock counts and
-// all verdicts are identical to the serial engine for every worker count
+// One worker (workers == 1, and every stateful run) is the same explorer
+// without the fleet: it runs on the calling thread with no deque and no
+// quiescence count, and visits the tree in sibling order — the source-set
+// DFS of Abdulla et al. (JACM'17). Its inserts only walk branches to the
+// right of its own path, all unexecuted, so a finished node is never
+// touched again and goes back to a spare-node pool. Stateful exploration
+// (check/state_space.hpp) hooks into arrivals and frame pops: an on-path
+// revisit cuts the new frame (classified into a non-termination lasso),
+// the visited store prunes a sleep-free arrival with nothing scheduled,
+// and leaving a frame pops its cycle-stack entry.
+//
+// Determinism across worker counts: scans inside an earlier sibling's
+// subtree graft sequences into later siblings' chains, so concurrent
+// siblings can commit a worker to a linearization one worker would have
+// folded into a scheduled chain. Such a raced path is always killed by
+// its sleep set before it completes (the eager ordered-before entries
+// survive filtering until the path would execute them), so on
+// violation-free programs the COMPLETED executions are still one
+// representative per Mazurkiewicz trace at every worker count
 // (parallel_dpor_test pins this across workers ∈ {1,2,4,8}). The argument
-// only uses the append-only sibling ORDER, never the order in which
-// siblings are claimed, so it is indifferent to which worker's deque a
-// branch sat in or whether it was stolen. The killed duplicates land in
-// stats.parallel_duplicates; transitions is charged arrival-edge-exact —
-// each completed execution's full path length at the moment it retires.
-// Every linearization of a Mazurkiewicz trace has the same length, so the
-// sum is independent of WHICH representative a claim race lets complete:
-// transitions equals serial at every worker count (duplicate and
-// sleep-blocked paths charge nothing, in both engines). races_detected /
-// wakeup_nodes count scheduling WORK, which depends on which worker
-// reaches a race first — as do the scheduler telemetry counters (steals,
-// steal_failures, claim_conflicts, max_replay_depth). A violation stops
-// all workers at the first finder, so counters on violating programs are
-// partial, like any early exit.
+// uses only the append-only sibling ORDER, never the claim order. One
+// worker counts a killed path as the sequential algorithm does (an
+// execution, and redundant); a fleet cannot tell a sleep-set-blocked path
+// from a raced duplicate and files both in parallel_duplicates. The
+// counter contract is DporOptions::workers; a violation stops all workers
+// at the first finder, so counters on violating programs are partial.
 #include <algorithm>
 #include <atomic>
 #include <barrier>
@@ -98,12 +81,14 @@
 #include <iterator>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "check/dpor.hpp"
 #include "check/dpor_internal.hpp"
+#include "check/state_space.hpp"
 #include "check/steal_deque.hpp"
 #include "support/assert.hpp"
 #include "support/stats.hpp"
@@ -129,9 +114,29 @@ constexpr std::uint8_t kStatePending = 0;
 constexpr std::uint8_t kStateClaimed = 1;
 constexpr std::uint8_t kStateDone = 2;
 
+/// Whether `a` is among the first actions of `sleep`.
+bool asleep_in(const std::vector<ActionFootprint>& sleep, const Action& a) {
+  return std::any_of(sleep.begin(), sleep.end(),
+                     [&a](const ActionFootprint& q) { return q.action == a; });
+}
+
+/// The branch a frame with nothing scheduled starts from: an internal step
+/// as a singleton ample set, else the first enabled action not asleep;
+/// nullptr when every enabled action is asleep.
+const Action* initial_pick(const System& sys, const std::vector<Action>& enabled,
+                           const std::vector<ActionFootprint>& sleep) {
+  for (const Action& a : enabled) {
+    if (is_internal_step(sys, a)) return &a;
+  }
+  for (const Action& a : enabled) {
+    if (!asleep_in(sleep, a)) return &a;
+  }
+  return nullptr;
+}
+
 struct Node;
 
-/// One wakeup-tree root child of a frame, live for the whole run. `ev`,
+/// One wakeup-tree root child of a frame, live as long as its frame. `ev`,
 /// `pick`, `owner` and `index` are written before the branch is published
 /// (BranchList::append's release) and immutable afterwards — every reader
 /// path (claims, sibling snapshots, sleep coverage) touches only those, so
@@ -180,6 +185,9 @@ class BranchList {
     return chunks_[c].load(std::memory_order_acquire)[i - chunk_base(c)];
   }
 
+  /// Forgets every branch but keeps the storage, for a recycled node.
+  void clear() { size_.store(0, std::memory_order_relaxed); }
+
   /// Appends and publishes a branch (caller holds the owning node's mutex).
   Branch& append(Node* owner, ActionFootprint ev, WakeupTree subtree,
                  bool pick) {
@@ -197,6 +205,8 @@ class BranchList {
     b.owner = owner;
     b.index = i;
     b.pick = pick;
+    b.state.store(kStatePending, std::memory_order_relaxed);
+    b.child.store(nullptr, std::memory_order_relaxed);
     size_.store(i + 1, std::memory_order_release);
     return b;
   }
@@ -220,10 +230,11 @@ class BranchList {
 };
 
 /// One frame of the shared exploration tree. parent/depth/arrival/
-/// inherited_sleep/maximal are written before the node is published (via
-/// its parent branch's `child` release store) and immutable afterwards;
-/// `branches` grows append-only under `mu`, which also serializes grafts
-/// into an unexecuted branch's subtree against that branch's execution.
+/// inherited_sleep/maximal/cycle_fp are written before the node is
+/// published (via its parent branch's `child` release store) and immutable
+/// afterwards; `branches` grows append-only under `mu`, which also
+/// serializes grafts into an unexecuted branch's subtree against that
+/// branch's execution.
 struct Node {
   Node* parent = nullptr;
   std::uint32_t parent_branch = 0;
@@ -233,18 +244,26 @@ struct Node {
   std::mutex mu;
   BranchList branches;
   bool maximal = false;  // no enabled action at this state
+  std::optional<std::uint64_t> cycle_fp;  // stateful: on the cycle stack
 };
 
-class ParallelExplorer {
+class OptimalExplorer {
  public:
-  ParallelExplorer(const mcapi::Program& program, const DporOptions& options,
-                   const support::Stopwatch& timer)
+  /// `store` / `cycles` are the stateful hooks (both null when stateless);
+  /// a stateful run always explores with one worker.
+  OptimalExplorer(const mcapi::Program& program, const DporOptions& options,
+                  const support::Stopwatch& timer, VisitedStateStore* store,
+                  CycleStack* cycles)
       : program_(program),
         options_(options),
         timer_(timer),
         mode_(options.mode),
         countable_(dpor_detail::countable_program(program, options.mode)),
-        teardown_(static_cast<std::ptrdiff_t>(options.workers)) {}
+        workers_(cycles != nullptr ? 1 : std::max(options.workers, 1u)),
+        single_(workers_ == 1),
+        store_(store),
+        cycles_(cycles),
+        teardown_(static_cast<std::ptrdiff_t>(workers_)) {}
 
   void run(DporResult& result);
 
@@ -253,14 +272,17 @@ class ParallelExplorer {
   /// down the shared tree, plus the executed prefix's footprints and
   /// happens-before rows (rebuilt on prefix replay, never shared).
   struct Worker {
-    Worker(const mcapi::Program& program, mcapi::DeliveryMode mode,
-           std::uint32_t worker_id)
-        : sys(program, mode),
+    Worker(const OptimalExplorer& x, std::uint32_t worker_id)
+        : sys(x.program_, x.mode_),
           id(worker_id),
-          rng(0x9E3779B97F4A7C15ull * (worker_id + 1)) {}
+          rng(0x9E3779B97F4A7C15ull * (worker_id + 1)),
+          deadline(x.timer_, x.options_.max_seconds, x.options_.interrupted) {
+      sys.enable_undo_log();
+    }
     System sys;
     std::uint32_t id;
     std::uint64_t rng;  // victim-selection stream (splitmix-style)
+    support::Deadline deadline;
     std::vector<Node*> path;  // path[d] = node at depth d; back() = position
     std::vector<ActionFootprint> events;  // events[d] = arrival into path[d+1]
     dpor_detail::HappensBefore hb;        // over events
@@ -269,8 +291,8 @@ class ParallelExplorer {
     // Every Node this worker allocated. The worker frees them itself once
     // all workers have stopped touching the tree (see worker_main).
     std::vector<std::unique_ptr<Node>> nodes;
+    std::vector<Node*> spare;  // one worker: finished nodes, ready for reuse
     DporStats stats;
-    std::uint64_t probe = 0;
     // count_feasible scratch
     std::vector<std::pair<mcapi::ChannelId, std::ptrdiff_t>> chan_len;
     std::vector<std::ptrdiff_t> ep_len;
@@ -280,8 +302,8 @@ class ParallelExplorer {
   void explore(Worker& w, Node* entry, std::uint32_t entry_branch);
   /// Executes the claimed branch `bi` of `node` (sys must be at node's
   /// state). Returns the child node to descend into, or nullptr when the
-  /// branch ended (maximal state, sleep-blocked, violation, budget).
-  /// `abort` is set when the whole search should stop.
+  /// branch ended (maximal state, sleep-blocked, cut, pruned, violation,
+  /// budget). `abort` is set when the whole search should stop.
   Node* execute_branch(Worker& w, Node* node, std::uint32_t bi, bool& abort);
   void scan_races(Worker& w, const ActionFootprint& ev);
   bool count_feasible(Worker& w, std::size_t k,
@@ -300,7 +322,8 @@ class ParallelExplorer {
   /// random victim. Returns the stolen branch or nullptr (the round
   /// failed; counted in steal_failures).
   Branch* steal_round(Worker& w);
-  [[nodiscard]] bool over_budget(Worker& w);
+  /// Folds a stopped worker's counters into the result.
+  void merge(const Worker& w);
 
   /// Lock-free claim: exactly one caller wins the pending -> claimed CAS.
   [[nodiscard]] static bool try_claim(Branch& b) {
@@ -316,16 +339,52 @@ class ParallelExplorer {
   /// outstanding_ == 0 sees the finished tree.
   void retire(Branch& b) {
     b.state.store(kStateDone, std::memory_order_relaxed);
-    outstanding_.fetch_sub(1, std::memory_order_release);
+    if (!single_) outstanding_.fetch_sub(1, std::memory_order_release);
   }
 
   /// Counts a just-created branch toward quiescence and exposes it to
   /// thieves via the creating worker's deque. Creation always precedes the
   /// creating branch's retire, so outstanding_ can only hit zero when the
-  /// whole tree is explored.
+  /// whole tree is explored. One worker has no thieves and no quiescence
+  /// to detect: its explore loop finds every branch in sibling order.
   void publish_work(Worker& w, Branch& b) {
+    if (single_) return;
     outstanding_.fetch_add(1, std::memory_order_relaxed);
     deques_[w.id]->push(&b);
+  }
+
+  /// A path its sleep set killed before it completed an execution. One
+  /// worker explores in sibling order, so this is the sequential
+  /// algorithm's sleep-set-blocked path (an execution, counted redundant);
+  /// in a fleet it is indistinguishable from a raced duplicate.
+  void count_blocked(Worker& w) const {
+    if (single_) {
+      ++w.stats.redundant_explorations;
+      ++w.stats.executions;
+    } else {
+      ++w.stats.parallel_duplicates;
+    }
+  }
+
+  /// A fresh frame: a spare node when one worker has one, else a new one.
+  Node* new_node(Worker& w) {
+    if (w.spare.empty()) return w.nodes.emplace_back(std::make_unique<Node>()).get();
+    Node* n = w.spare.back();
+    w.spare.pop_back();
+    return n;
+  }
+
+  /// The worker is done with frame `n` (its subtree is finished): pop its
+  /// cycle-stack entry. One worker never touches the node again — its
+  /// inserts walk only unexecuted branches — so it goes back to the pool.
+  void leave(Worker& w, Node* n) {
+    if (n->cycle_fp) cycles_->pop(*n->cycle_fp);
+    if (!single_) return;
+    n->parent->branches[n->parent_branch].child.store(
+        nullptr, std::memory_order_relaxed);
+    n->branches.clear();
+    n->cycle_fp.reset();
+    w.spare.push_back(n);
   }
 
   [[nodiscard]] static std::vector<Action> actions_of(
@@ -341,6 +400,10 @@ class ParallelExplorer {
   const support::Stopwatch& timer_;
   const mcapi::DeliveryMode mode_;
   const bool countable_;
+  const std::uint32_t workers_;
+  const bool single_;
+  VisitedStateStore* const store_;
+  CycleStack* const cycles_;
 
   Node root_;
   std::vector<std::unique_ptr<StealDeque<Branch>>> deques_;  // one per worker
@@ -360,32 +423,29 @@ class ParallelExplorer {
   DporResult* result_ = nullptr;
 };
 
-bool ParallelExplorer::over_budget(Worker& w) {
-  // Same amortization as the serial engine: one clock/callback probe per 64
-  // exploration steps, per worker.
-  if (options_.max_seconds <= 0 && !options_.interrupted) return false;
-  if ((++w.probe & 63u) != 0) return false;
-  if (options_.max_seconds > 0 && timer_.seconds() > options_.max_seconds) {
-    return true;
-  }
-  return options_.interrupted && options_.interrupted();
-}
-
-void ParallelExplorer::push_event(Worker& w, const ActionFootprint& ev) {
+void OptimalExplorer::push_event(Worker& w, const ActionFootprint& ev) {
   w.hb.push([&](std::size_t k) {
     return mcapi::dependent(w.events[k], ev, mode_);
   });
   w.events.push_back(ev);
 }
 
-void ParallelExplorer::pop_event(Worker& w) {
+void OptimalExplorer::pop_event(Worker& w) {
   w.sys.undo();
   w.events.pop_back();
   w.hb.pop();
 }
 
-bool ParallelExplorer::count_feasible(Worker& w, std::size_t k,
-                                      const std::vector<ActionFootprint>& v) {
+// Counting feasibility of reversal candidate `v` at race point `k` (only
+// valid when countable_; see dpor_detail::countable_program): reconstruct
+// channel/endpoint queue lengths at state k by inverting the executed
+// suffix against the live state, then run the candidate through the
+// counters — a deliver needs its channel non-empty, a recv its endpoint
+// queue non-empty, everything else always fires. Exact for countable
+// programs because per-thread control is straight-line, so the footprinted
+// op kinds replay as-is.
+bool OptimalExplorer::count_feasible(Worker& w, std::size_t k,
+                                     const std::vector<ActionFootprint>& v) {
   w.chan_len.clear();
   auto chan = [&](mcapi::ChannelId c) -> std::ptrdiff_t& {
     for (auto& [id, len] : w.chan_len) {
@@ -427,19 +487,20 @@ bool ParallelExplorer::count_feasible(Worker& w, std::size_t k,
   return true;
 }
 
-std::size_t ParallelExplorer::insert_into_node(Worker& w, Node* f,
+std::size_t OptimalExplorer::insert_into_node(Worker& w, Node* f,
                                                std::uint32_t min_branch,
                                                std::vector<ActionFootprint> w_) {
-  // The serial engine's insert walks frame f's own wakeup tree. In the
-  // live shared tree a matched branch may already be executed; the graft
-  // then lands where the serial peel would have put it — the child node's
-  // branch list — preserving the serial lineage of the grafted trace.
-  // Below the top frame only scheduled-origin branches are chain
-  // structure: a matched initial-pick sibling means the sequence routes
-  // through an exploration that re-derives everything it needs itself
-  // (serial's walk consumes the pick's event and drops the rest at its
-  // empty-chain leaf), and a node with no scheduled-origin branches is
-  // the serial chain's leaf (leaf ⊑ w: drop).
+  // The textbook insert walks frame f's own wakeup tree, whose branches
+  // are detached as they execute. In the live shared tree a matched branch
+  // may already be executed (only in a fleet: one worker walks branches to
+  // the right of its own path, all unexecuted); the graft then lands where
+  // the detached walk would have put it — the child node's branch list —
+  // preserving the lineage of the grafted trace. Below the top frame only
+  // scheduled-origin branches are chain structure: a matched initial-pick
+  // sibling means the sequence routes through an exploration that
+  // re-derives everything it needs itself (the detached walk consumes the
+  // pick's event and drops the rest at its empty-chain leaf), and a node
+  // with no scheduled-origin branches is the chain's leaf (leaf ⊑ w: drop).
   //
   // Locking is node-local and held one node at a time: the scan + the
   // mutation it decides on (graft into an unexecuted branch's subtree, or
@@ -479,9 +540,9 @@ std::size_t ParallelExplorer::insert_into_node(Worker& w, Node* f,
     }
     if (descended) continue;
     if (deeper) {
-      if (!has_scheduled) return 0;  // serial chain leaf ⊑ w
-      // A deep graft lands rightmost at a LIVE frame; unlike serial's
-      // pre-execution chains this node already has a sleep set, and a
+      if (!has_scheduled) return 0;  // chain leaf ⊑ w
+      // A deep graft lands rightmost at a LIVE frame; unlike a scheduled
+      // chain before execution this node already has a sleep set, and a
       // sequence it covers is explored elsewhere.
       for (const ActionFootprint& q : node->inherited_sleep) {
         if (weak_initial_pos(q.action, w_, mode_) != kNpos) return 0;
@@ -505,7 +566,7 @@ std::size_t ParallelExplorer::insert_into_node(Worker& w, Node* f,
   }
 }
 
-void ParallelExplorer::scan_races(Worker& w, const ActionFootprint& ev) {
+void OptimalExplorer::scan_races(Worker& w, const ActionFootprint& ev) {
   // `ev` is w.events.back() (already pushed, hb row built); n is its index.
   if (ev.internal) return;  // internal steps race with nothing
   const std::size_t n = w.events.size() - 1;
@@ -530,36 +591,45 @@ void ParallelExplorer::scan_races(Worker& w, const ActionFootprint& ev) {
 
     // Sleep coverage at the target frame: the frame's inherited sleep plus
     // the non-internal first actions of branches ordered before this
-    // worker's own branch there (the eager ordered sleep set — identical
-    // content to the serial engine's completed-sibling sleep). Lock-free:
+    // worker's own branch there (the eager ordered sleep set — for one
+    // worker, exactly the completed siblings' sleep). Lock-free:
     // inherited_sleep is immutable and the sibling prefix below our own
     // branch index was published before that branch was.
     Node* f = w.path[k];
     const std::uint32_t anc = w.path[k + 1]->parent_branch;
-    bool covered = false;
-    for (const ActionFootprint& q : f->inherited_sleep) {
-      if (weak_initial_pos(q.action, v, mode_) != kNpos) {
-        covered = true;
-        break;
-      }
-    }
+    auto covers = [&](const ActionFootprint& q) {
+      return weak_initial_pos(q.action, v, mode_) != kNpos;
+    };
+    bool covered = std::any_of(f->inherited_sleep.begin(),
+                               f->inherited_sleep.end(), covers);
     for (std::uint32_t i = 0; !covered && i < anc; ++i) {
       const Branch& sib = f->branches[i];
-      if (sib.ev.internal) continue;  // internal arrivals never sleep
-      if (weak_initial_pos(sib.ev.action, v, mode_) != kNpos) covered = true;
+      covered = !sib.ev.internal && covers(sib.ev);  // internal arrivals never sleep
     }
     if (covered) continue;
 
     // Reversibility check against the real semantics, on this worker's own
-    // live System (see run_optimal for the rationale and the countable /
-    // deliver-pair fast paths).
+    // live System: a purely causal pair (a send vs. the delivery of its own
+    // message, a delivery vs. the wait it unblocks) leaves the final action
+    // disabled. A reversal that runs into an assertion violation is kept:
+    // the exploration must reach that violation. Hot-path exception: two
+    // deliveries racing for one endpoint (the only dependent delivery pair
+    // under arbitrary delay) are always reversible — the reversal's causal
+    // prefix keeps both messages in transit — so they skip the simulation.
     const bool deliver_pair = mode_ == mcapi::DeliveryMode::kArbitraryDelay &&
                               ek.action.kind == Action::Kind::kDeliver &&
                               ev.action.kind == Action::Kind::kDeliver;
     if (!deliver_pair) {
       if (countable_) {
+        // Pure integer counting over the footprints; the live System is
+        // never touched (and no prefix restore is owed afterwards).
         if (!count_feasible(w, k, v)) continue;
       } else {
+        // Apply -> inspect -> undo on the live state: rewind to the frame
+        // before the raced event (checkpoint k = k events applied), run
+        // the candidate, roll it back. The scan visits race points in
+        // decreasing depth, so the rewind is monotone and the executed
+        // prefix is replayed once, after the scan.
         w.sys.rollback(k);
         rewound = k;
         bool feasible = true;
@@ -585,18 +655,22 @@ void ParallelExplorer::scan_races(Worker& w, const ActionFootprint& ev) {
   }
 }
 
-Node* ParallelExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
-                                       bool& abort) {
+Node* OptimalExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
+                                      bool& abort) {
+  // A spent budget stops every worker.
+  auto truncate = [&] {
+    truncated_.store(true, std::memory_order_relaxed);
+    stop_.store(true, std::memory_order_relaxed);
+    abort = true;
+    return nullptr;
+  };
   if (stop_.load(std::memory_order_relaxed)) {
     abort = true;
     return nullptr;
   }
   if (transitions_.load(std::memory_order_relaxed) >= options_.max_transitions ||
-      over_budget(w)) {
-    truncated_.store(true, std::memory_order_relaxed);
-    stop_.store(true, std::memory_order_relaxed);
-    abort = true;
-    return nullptr;
+      w.deadline.expired()) {
+    return truncate();
   }
 
   // The hot claim path is lock-free end to end: this branch is ours (the
@@ -606,57 +680,52 @@ Node* ParallelExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
   // indices > bi and cannot change what we read here.
   Branch& b = node->branches[bi];
   const Action action = b.ev.action;
-  bool asleep = false;
-  for (const ActionFootprint& q : node->inherited_sleep) {
-    if (q.action == action) {
-      asleep = true;
-      break;
-    }
-  }
+  bool asleep = asleep_in(node->inherited_sleep, action);
   for (std::uint32_t i = 0; i < bi && !asleep; ++i) {
     const Branch& sib = node->branches[i];
     if (!sib.ev.internal && sib.ev.action == action) asleep = true;
   }
   if (asleep || !w.sys.action_enabled(action)) {
-    // A raced duplicate: a concurrent claim committed to a linearization
-    // that makes this scheduled branch redundant before it ran. The sleep
-    // set kills it here, before it contributes an execution, so the trace
-    // counters stay serial-exact; only parallel_duplicates records it.
-    ++w.stats.parallel_duplicates;
+    // The sleep set kills this scheduled branch before it runs (in a
+    // fleet, typically a concurrent claim committed to a linearization
+    // that makes it redundant), so it contributes no completed execution.
+    count_blocked(w);
     retire(b);
     return nullptr;
   }
 
   // Child sleep set, computed against the pre-step state: inherited sleep
-  // plus the earlier siblings' footprints (recomputed here — same state,
-  // same values the serial engine stored on completion), filtered by
-  // dependence on the arriving event.
+  // plus the earlier siblings' footprints (recomputed here at the frame's
+  // own state, so exact), minus what depends on the arriving event — of
+  // which an internal step has nothing.
   const ActionFootprint fresh = w.sys.footprint(action);
   std::vector<ActionFootprint> child_sleep;
-  if (fresh.internal) {
-    child_sleep = node->inherited_sleep;
-    for (std::uint32_t i = 0; i < bi; ++i) {
-      const Branch& sib = node->branches[i];
-      if (!sib.ev.internal) child_sleep.push_back(w.sys.footprint(sib.ev.action));
+  auto keep = [&](ActionFootprint q) {
+    if (fresh.internal || !mcapi::dependent(fresh, q, mode_)) {
+      child_sleep.push_back(std::move(q));
     }
-  } else {
-    for (const ActionFootprint& q : node->inherited_sleep) {
-      if (!mcapi::dependent(fresh, q, mode_)) child_sleep.push_back(q);
-    }
-    for (std::uint32_t i = 0; i < bi; ++i) {
-      const Branch& sib = node->branches[i];
-      if (sib.ev.internal) continue;
-      const ActionFootprint q = w.sys.footprint(sib.ev.action);
-      if (!mcapi::dependent(fresh, q, mode_)) child_sleep.push_back(q);
-    }
+  };
+  for (const ActionFootprint& q : node->inherited_sleep) keep(q);
+  for (std::uint32_t i = 0; i < bi; ++i) {
+    const Branch& sib = node->branches[i];
+    if (!sib.ev.internal) keep(w.sys.footprint(sib.ev.action));
   }
 
   // The max_transitions budget counts every fresh apply (honest work
   // bound); stats.transitions is charged arrival-edge-exact at execution
-  // completion instead, so raced-duplicate work never inflates it.
+  // completion instead, so killed-path work never inflates it.
   w.sys.apply(fresh.action);
-  transitions_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t applied =
+      transitions_.fetch_add(1, std::memory_order_relaxed) + 1;
   push_event(w, fresh);
+
+  // Every applied edge is race-scanned once, by its first executor (prefix
+  // replays skip it); the scan grafts only into frames above `node`. A
+  // budget this apply spends stops the search before the arrival counts.
+  if (applied >= options_.max_transitions) {
+    scan_races(w, fresh);
+    return truncate();
+  }
 
   if (w.sys.has_violation()) {
     // Arrival-edge-exact: the violating execution's full path length
@@ -679,47 +748,37 @@ Node* ParallelExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
   w.sys.enabled(w.enabled);
   const bool maximal = w.enabled.empty();
 
-  // Initial pick for a frame with nothing scheduled: an internal step as a
-  // singleton ample set, else the first non-sleeping enabled action.
-  const Action* pick = nullptr;
-  if (!maximal) {
-    for (const Action& a : w.enabled) {
-      if (is_internal_step(w.sys, a)) {
-        pick = &a;
-        break;
-      }
-    }
-    if (pick == nullptr) {
-      for (const Action& a : w.enabled) {
-        bool in_sleep = false;
-        for (const ActionFootprint& q : child_sleep) {
-          if (q.action == a) {
-            in_sleep = true;
-            break;
-          }
-        }
-        if (!in_sleep) {
-          pick = &a;
-          break;
-        }
-      }
-    }
+  // Stateful runs have one worker, so the scheduled subtree and the result
+  // are used without locks.
+  std::optional<std::uint64_t> fp;
+  if (!maximal && cycles_ != nullptr &&
+      !dpor_detail::enter_state(w.sys, w.events.size(), child_sleep.empty(),
+                                !b.subtree.empty(), *store_, *cycles_, *result_,
+                                [&] { return actions_of(w.events); }, fp)) {
+    scan_races(w, fresh);
+    retire(b);
+    pop_event(w);
+    return nullptr;
   }
+
   std::vector<ActionFootprint> pick_fp;
-  if (pick != nullptr) pick_fp.push_back(w.sys.footprint(*pick));
+  if (const Action* pick = initial_pick(w.sys, w.enabled, child_sleep)) {
+    pick_fp.push_back(w.sys.footprint(*pick));
+  }
 
   // Create the child frame and — under the node's own mutex — re-route the
   // branch's scheduled subtree into it: grafts before this instant land in
   // b.subtree and are peeled here; grafts after it descend through
   // b.child. Only this handoff locks; the child's branch list is built
   // while the child is still unpublished.
-  Node* cp = w.nodes.emplace_back(std::make_unique<Node>()).get();
+  Node* cp = new_node(w);
   cp->parent = node;
   cp->parent_branch = bi;
   cp->depth = node->depth + 1;
   cp->arrival = fresh;
   cp->inherited_sleep = std::move(child_sleep);
   cp->maximal = maximal;
+  cp->cycle_fp = fp;
   std::uint32_t child_branches = 0;
   {
     std::lock_guard<std::mutex> g(node->mu);
@@ -749,20 +808,16 @@ Node* ParallelExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
   for (std::uint32_t i = child_branches; i-- > 1;) {
     publish_work(w, cp->branches[i]);
   }
-  if (child_branches > 0) {
+  if (child_branches > 0 && !single_) {
     outstanding_.fetch_add(1, std::memory_order_relaxed);  // branch 0
   }
-
-  // Race scan for the fresh event — once per tree edge, by its first (and
-  // only) executor; prefix replays skip it.
-  scan_races(w, fresh);
+  scan_races(w, fresh);  // after publishing: thieves may take the branches
 
   if (maximal || sleep_blocked) {
     if (maximal) {
       // Arrival-edge-exact: this completed execution's full path length.
       // Every linearization of its Mazurkiewicz trace has the same length,
-      // so the charge is identical to what the serial engine records for
-      // the trace's representative, whichever linearization won the claim
+      // so the charge is the same whichever linearization won the claim
       // race.
       w.stats.transitions += w.events.size();
       ++w.stats.executions;
@@ -777,12 +832,13 @@ Node* ParallelExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
       }
     } else {
       // Every enabled action asleep: the trace this path was heading for
-      // is (or will be) explored via another linearization — a raced
-      // duplicate, not an execution, so it charges no transitions.
-      ++w.stats.parallel_duplicates;
+      // is (or will be) explored via another linearization, so it charges
+      // no transitions.
+      count_blocked(w);
     }
     retire(b);
     pop_event(w);
+    leave(w, cp);
     return nullptr;
   }
 
@@ -790,7 +846,7 @@ Node* ParallelExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
   return cp;
 }
 
-void ParallelExplorer::explore(Worker& w, Node* entry, std::uint32_t entry_branch) {
+void OptimalExplorer::explore(Worker& w, Node* entry, std::uint32_t entry_branch) {
   Node* node = entry;
   std::uint32_t bi = entry_branch;
   while (true) {
@@ -825,12 +881,13 @@ void ParallelExplorer::explore(Worker& w, Node* entry, std::uint32_t entry_branc
       retire(parent->branches[node->parent_branch]);
       pop_event(w);
       w.path.pop_back();
+      leave(w, node);
       node = parent;
     }
   }
 }
 
-void ParallelExplorer::navigate(Worker& w, Node* target) {
+void OptimalExplorer::navigate(Worker& w, Node* target) {
   w.chain.clear();
   for (Node* n = target; n != nullptr; n = n->parent) w.chain.push_back(n);
   std::reverse(w.chain.begin(), w.chain.end());
@@ -856,9 +913,8 @@ void ParallelExplorer::navigate(Worker& w, Node* target) {
   }
 }
 
-Branch* ParallelExplorer::steal_round(Worker& w) {
+Branch* OptimalExplorer::steal_round(Worker& w) {
   const std::uint32_t n = static_cast<std::uint32_t>(deques_.size());
-  if (n <= 1) return nullptr;
   // splitmix-style advance; the high bits pick the starting victim.
   w.rng = w.rng * 6364136223846793005ull + 1442695040888963407ull;
   const std::uint32_t start = static_cast<std::uint32_t>((w.rng >> 33) % n);
@@ -873,9 +929,8 @@ Branch* ParallelExplorer::steal_round(Worker& w) {
   return nullptr;
 }
 
-void ParallelExplorer::worker_main(std::uint32_t id) {
-  Worker w(program_, mode_, id);
-  w.sys.enable_undo_log();
+void OptimalExplorer::worker_main(std::uint32_t id) {
+  Worker w(*this, id);
   w.path.push_back(&root_);
 
   std::uint32_t idle_rounds = 0;
@@ -922,13 +977,15 @@ void ParallelExplorer::worker_main(std::uint32_t id) {
   // parallel, each its own allocations.
   teardown_.arrive_and_wait();
   w.nodes.clear();
+  merge(w);
+}
 
+void OptimalExplorer::merge(const Worker& w) {
   std::lock_guard<std::mutex> g(result_mu_);
   DporStats& st = result_->stats;
   st.transitions += w.stats.transitions;
   st.executions += w.stats.executions;
   st.terminal_states += w.stats.terminal_states;
-  st.sleep_prunes += w.stats.sleep_prunes;
   st.races_detected += w.stats.races_detected;
   st.wakeup_nodes += w.stats.wakeup_nodes;
   st.redundant_explorations += w.stats.redundant_explorations;
@@ -939,18 +996,17 @@ void ParallelExplorer::worker_main(std::uint32_t id) {
   st.max_replay_depth = std::max(st.max_replay_depth, w.stats.max_replay_depth);
 }
 
-void ParallelExplorer::run(DporResult& result) {
+void OptimalExplorer::run(DporResult& result) {
   result_ = &result;
   DporStats& st = result.stats;
-
-  // Root arrival checks, mirroring the serial loop's first iteration.
-  System sys0(program_, mode_);
-  if (sys0.has_violation()) {
-    result.violation_found = true;
-    result.violation = sys0.violation();
-    ++st.executions;
+  if (options_.max_transitions == 0) {
+    result.truncated = true;
     return;
   }
+
+  // Root arrival checks, as execute_branch makes them for every other
+  // frame (a fresh System has run nothing, so it holds no violation).
+  System sys0(program_, mode_);
   std::vector<Action> enabled;
   sys0.enabled(enabled);
   if (enabled.empty()) {
@@ -962,40 +1018,48 @@ void ParallelExplorer::run(DporResult& result) {
     }
     return;
   }
-  const Action* pick = nullptr;
-  for (const Action& a : enabled) {
-    if (is_internal_step(sys0, a)) {
-      pick = &a;
-      break;
-    }
+  if (cycles_ != nullptr) {
+    // Stores and registers the root (an empty stack and store cut nothing).
+    std::optional<std::uint64_t> fp;
+    dpor_detail::enter_state(sys0, 0, true, false, *store_, *cycles_, result,
+                             [] { return std::vector<Action>{}; }, fp);
   }
-  if (pick == nullptr) pick = &enabled.front();
-
-  const std::uint32_t n = options_.workers;
-  deques_.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    deques_.push_back(std::make_unique<StealDeque<Branch>>());
-  }
+  const Action* pick = initial_pick(sys0, enabled, {});
   Branch& seed = root_.branches.append(&root_, sys0.footprint(*pick),
                                        WakeupTree{}, /*pick=*/true);
-  outstanding_.store(1, std::memory_order_relaxed);
-  deques_[0]->push(&seed);
 
-  std::vector<std::thread> threads;
-  threads.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    threads.emplace_back([this, i] { worker_main(i); });
+  if (single_) {
+    // One worker explores on the calling thread: no spawn, no deque.
+    Worker w(*this, 0);
+    w.path.push_back(&root_);
+    (void)try_claim(seed);
+    explore(w, &root_, 0);
+    merge(w);
+  } else {
+    deques_.reserve(workers_);
+    for (std::uint32_t i = 0; i < workers_; ++i) {
+      deques_.push_back(std::make_unique<StealDeque<Branch>>());
+    }
+    outstanding_.store(1, std::memory_order_relaxed);
+    deques_[0]->push(&seed);
+    std::vector<std::thread> threads;
+    threads.reserve(workers_);
+    for (std::uint32_t i = 0; i < workers_; ++i) {
+      threads.emplace_back([this, i] { worker_main(i); });
+    }
+    for (std::thread& t : threads) t.join();
   }
-  for (std::thread& t : threads) t.join();
   if (truncated_.load(std::memory_order_relaxed)) result.truncated = true;
 }
 
 }  // namespace
 
-void DporChecker::run_parallel(DporResult& result,
-                               const support::Stopwatch& timer) {
-  ParallelExplorer explorer(program_, options_, timer);
-  explorer.run(result);
+void DporChecker::explore_optimal(DporResult& result,
+                                  const support::Stopwatch& timer) {
+  const bool stateful = options_.stateful;
+  OptimalExplorer(program_, options_, timer, stateful ? &store_ : nullptr,
+                  stateful ? &cycle_stack_ : nullptr)
+      .run(result);
 }
 
 }  // namespace mcsym::check

@@ -72,23 +72,11 @@ bool ExplicitChecker::record_terminal(const System& state, ExplicitResult& resul
          result.raw_matchings.size() < options_.max_matchings;
 }
 
-bool ExplicitChecker::out_of_budget() const {
-  // Amortize the clock read / callback over DFS entries, mirroring
-  // DporChecker::over_time_budget.
-  if (options_.max_seconds <= 0 && !options_.interrupted) return false;
-  if ((++budget_probe_ & 63u) != 0) return false;
-  if (options_.max_seconds > 0 && timer_ != nullptr &&
-      timer_->seconds() > options_.max_seconds) {
-    return true;
-  }
-  return options_.interrupted && options_.interrupted();
-}
-
 void ExplicitChecker::dfs(System& sys, std::vector<Action>& script,
                           ExplicitResult& result, const trace::Trace* reference) {
   if (result.truncated) return;
   if (result.violation_found && !options_.collect_matchings) return;
-  if (result.states_expanded >= options_.max_states || out_of_budget()) {
+  if (result.states_expanded >= options_.max_states || deadline_->expired()) {
     result.truncated = true;
     return;
   }
@@ -175,7 +163,8 @@ void ExplicitChecker::dfs(System& sys, std::vector<Action>& script,
 
 ExplicitResult ExplicitChecker::run() {
   const support::Stopwatch timer;
-  timer_ = &timer;
+  support::Deadline deadline(timer, options_.max_seconds, options_.interrupted);
+  deadline_ = &deadline;
   ExplicitResult result;
   visited_.clear();
   visited_histories_.clear();
@@ -199,13 +188,14 @@ ExplicitResult ExplicitChecker::run() {
     result.state_space.states_dropped = store_.dropped();
   }
   result.seconds = timer.seconds();
-  timer_ = nullptr;
+  deadline_ = nullptr;
   return result;
 }
 
 ExplicitResult ExplicitChecker::enumerate_against(const trace::Trace& reference) {
   const support::Stopwatch timer;
-  timer_ = &timer;
+  support::Deadline deadline(timer, options_.max_seconds, options_.interrupted);
+  deadline_ = &deadline;
   const bool saved = options_.collect_matchings;
   options_.collect_matchings = true;
   ExplicitResult result;
@@ -218,7 +208,7 @@ ExplicitResult ExplicitChecker::enumerate_against(const trace::Trace& reference)
   dfs(sys, script, result, &reference);
   options_.collect_matchings = saved;
   result.seconds = timer.seconds();
-  timer_ = nullptr;
+  deadline_ = nullptr;
   return result;
 }
 

@@ -119,8 +119,6 @@ class ExplicitChecker {
                                      ExplicitResult& result,
                                      const trace::Trace* reference) const;
 
-  [[nodiscard]] bool out_of_budget() const;
-
   const mcapi::Program& program_;
   ExplicitOptions options_;
   std::unordered_set<std::uint64_t> visited_;
@@ -129,9 +127,7 @@ class ExplicitChecker {
   // current DFS path (cycle detection).
   VisitedStateStore store_{0};
   CycleStack cycle_stack_;
-  const support::Stopwatch* timer_ = nullptr;  // live only inside run()
-  // Clock-read / callback amortization for out_of_budget.
-  mutable std::uint64_t budget_probe_ = 0;
+  support::Deadline* deadline_ = nullptr;  // live only inside run()
 };
 
 }  // namespace mcsym::check

@@ -34,15 +34,18 @@ constexpr double kBiases[] = {1.0, 0.5, 2.0};
 /// Only test polls and wait_any scans *observe* pending requests (an
 /// enabled wait is always bound), so only programs containing them can
 /// legitimately produce sleep-blocked paths under optimal DPOR.
-[[nodiscard]] bool has_observer_ops(const mcapi::Program& program) {
+[[nodiscard]] bool has_op(const mcapi::Program& program, mcapi::OpKind kind) {
   for (mcapi::ThreadRef t = 0; t < program.num_threads(); ++t) {
     for (const mcapi::Instr& i : program.thread(t).code) {
-      if (i.kind == mcapi::OpKind::kTest || i.kind == mcapi::OpKind::kWaitAny) {
-        return true;
-      }
+      if (i.kind == kind) return true;
     }
   }
   return false;
+}
+
+[[nodiscard]] bool has_observer_ops(const mcapi::Program& program) {
+  return has_op(program, mcapi::OpKind::kTest) ||
+         has_op(program, mcapi::OpKind::kWaitAny);
 }
 
 /// Shared state of one verify() call: the joint wall clock, the report
@@ -166,8 +169,8 @@ DporResult run_dpor_raw(Ctx& ctx, DporMode mode, EngineRun& run) {
                   {"wakeup_nodes", result.stats.wakeup_nodes},
                   {"sleep_prunes", result.stats.sleep_prunes},
                   {"redundant_explorations", result.stats.redundant_explorations}};
-  // Surfaced only for threaded requests: the serial engine cannot produce
-  // duplicates or scheduler traffic, and the workers == 1 JSON report is
+  // Surfaced only for threaded requests: one worker produces no duplicates
+  // and no scheduler traffic, and the workers == 1 JSON report is
   // golden-pinned. `workers` echoes the resolved thread count (the CLI maps
   // `--workers auto`/`0` to hardware concurrency before the request is
   // built); the scheduler telemetry rows mirror DporStats — see dpor.hpp
@@ -269,11 +272,41 @@ void check_dpor_result(Ctx& ctx, DporMode mode, const DporResult& dr,
 
 /// Runs one DPOR configuration inside the serial portfolio and cross-checks
 /// it against the explicit ground truth.
-void run_dpor_checked(Ctx& ctx, DporMode mode, const ExplicitResult& truth,
-                      bool observers, mcapi::System& workspace,
-                      PortfolioStats& ps) {
-  const DporResult dr = run_dpor(ctx, mode);
+DporResult run_dpor_checked(Ctx& ctx, DporMode mode, const ExplicitResult& truth,
+                            bool observers, mcapi::System& workspace,
+                            PortfolioStats& ps) {
+  DporResult dr = run_dpor(ctx, mode);
   check_dpor_result(ctx, mode, dr, truth, observers, workspace, ps);
+  return dr;
+}
+
+/// Cross-checks the two DPOR algorithms: sleep-set DPOR is the independent
+/// reference for optimal's trace counting. Both complete one execution per
+/// Mazurkiewicz trace, so a violation-free, untruncated stateless run of
+/// each reaches the same terminal states and deadlock verdict. Programs
+/// with wait_any are exempt: optimal DPOR misses a winner whose message,
+/// in the explored execution, is delivered after the wait_any returned
+/// (examples/select_server.mcp: 1 of 2 traces; see the ROADMAP).
+void check_dpor_modes(Ctx& ctx, const DporResult& optimal,
+                      const DporResult& sleepset) {
+  if (ctx.request.stateful || optimal.truncated || sleepset.truncated ||
+      optimal.violation_found || sleepset.violation_found ||
+      has_op(ctx.program, mcapi::OpKind::kWaitAny)) {
+    return;
+  }
+  if (optimal.stats.terminal_states != sleepset.stats.terminal_states) {
+    std::ostringstream os;
+    os << "DPOR optimal/sleep-set terminal_states split: optimal="
+       << optimal.stats.terminal_states
+       << " sleep-set=" << sleepset.stats.terminal_states;
+    ctx.disagree(os.str());
+  }
+  if (optimal.deadlock_found != sleepset.deadlock_found) {
+    std::ostringstream os;
+    os << "DPOR optimal/sleep-set deadlock verdict split: optimal="
+       << optimal.deadlock_found << " sleep-set=" << sleepset.deadlock_found;
+    ctx.disagree(os.str());
+  }
 }
 
 /// One trace's production artifacts — everything the symbolic stage can
@@ -778,12 +811,14 @@ void run_portfolio(Ctx& ctx) {
                         workspace, ps);
     }
   } else {
-    run_dpor_checked(ctx, DporMode::kOptimal, truth, observers, workspace, ps);
+    optimal =
+        run_dpor_checked(ctx, DporMode::kOptimal, truth, observers, workspace, ps);
     if (with_sleepset) {
-      run_dpor_checked(ctx, DporMode::kSleepSet, truth, observers, workspace,
-                       ps);
+      sleepset = run_dpor_checked(ctx, DporMode::kSleepSet, truth, observers,
+                                  workspace, ps);
     }
   }
+  if (with_sleepset) check_dpor_modes(ctx, *optimal, *sleepset);
 
   if (concurrent) {
     judge_symbolic(ctx, std::move(*symbolic), &truth, ps);
@@ -808,6 +843,8 @@ void run_portfolio(Ctx& ctx) {
 
 // --- JSON serialization ----------------------------------------------------------
 
+}  // namespace
+
 void json_escape_into(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
@@ -819,7 +856,8 @@ void json_escape_into(std::string& out, std::string_view s) {
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
           out += buf;
         } else {
           out += c;
@@ -827,6 +865,8 @@ void json_escape_into(std::string& out, std::string_view s) {
     }
   }
 }
+
+namespace {
 
 void json_string(std::string& out, std::string_view s) {
   out += '"';

@@ -286,4 +286,10 @@ class Verifier {
                                           EnumerateRequest request = {});
 };
 
+/// Appends `s` to `out` escaped for the inside of a JSON string literal:
+/// quote, backslash and control characters (\n \r \t by name, the rest as
+/// \u00XX); every other byte, UTF-8 included, passes through unchanged.
+/// The one escaper behind every JSON document mcsym writes.
+void json_escape_into(std::string& out, std::string_view s);
+
 }  // namespace mcsym::check

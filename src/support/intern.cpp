@@ -8,6 +8,21 @@ Interner::Interner() {
   names_.emplace_back();  // slot 0 = invalid symbol
 }
 
+Interner::Interner(const Interner& other) : names_(other.names_) { reindex(); }
+
+Interner& Interner::operator=(const Interner& other) {
+  if (this != &other) *this = Interner(other);
+  return *this;
+}
+
+void Interner::reindex() {
+  index_.clear();
+  index_.reserve(names_.size());
+  for (std::size_t raw = 1; raw < names_.size(); ++raw) {
+    index_.emplace(names_[raw], static_cast<std::uint32_t>(raw));
+  }
+}
+
 Symbol Interner::intern(std::string_view name) {
   if (auto it = index_.find(name); it != index_.end()) return Symbol(it->second);
   const auto raw = static_cast<std::uint32_t>(names_.size());

@@ -31,6 +31,13 @@ class Symbol {
 class Interner {
  public:
   Interner();
+  /// Copies rebuild the index: its keys view the spellings, and a copy's
+  /// keys must view the copy's own, not the source's.
+  Interner(const Interner& other);
+  Interner& operator=(const Interner& other);
+  // A moved deque keeps its elements where they are, so the keys stay valid.
+  Interner(Interner&&) = default;
+  Interner& operator=(Interner&&) = default;
 
   /// Returns the symbol for `name`, creating it on first sight.
   Symbol intern(std::string_view name);
@@ -44,6 +51,9 @@ class Interner {
   [[nodiscard]] std::size_t size() const { return names_.size() - 1; }
 
  private:
+  /// Rebuilds index_ over names_.
+  void reindex();
+
   // deque: element addresses are stable under push_back, so the string_view
   // keys in the index can safely view the stored spellings.
   std::deque<std::string> names_;  // index = raw symbol; slot 0 unused

@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 namespace mcsym::support {
@@ -46,6 +47,33 @@ class Stopwatch {
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
+};
+
+/// Amortized budget probe for search loops: a wall-clock limit (0 =
+/// unlimited) plus an optional cooperative cancellation hook, consulted on
+/// one poll in 64. Amortize over loop iterations, not over transitions: an
+/// iteration can do unbounded work (race scans, feasibility simulations)
+/// without advancing a transition counter. Holds references to `timer` and
+/// `interrupted`, which must outlive it; one instance per searching thread.
+class Deadline {
+ public:
+  Deadline(const Stopwatch& timer, double max_seconds,
+           const std::function<bool()>& interrupted)
+      : timer_(&timer), max_seconds_(max_seconds), interrupted_(&interrupted) {}
+
+  /// True once the time budget is spent or the hook asks to stop.
+  [[nodiscard]] bool expired() {
+    if (max_seconds_ <= 0 && !*interrupted_) return false;
+    if ((++polls_ & 63u) != 0) return false;
+    if (max_seconds_ > 0 && timer_->seconds() > max_seconds_) return true;
+    return *interrupted_ && (*interrupted_)();
+  }
+
+ private:
+  const Stopwatch* timer_;
+  double max_seconds_;
+  const std::function<bool()>* interrupted_;
+  std::uint64_t polls_ = 0;
 };
 
 }  // namespace mcsym::support

@@ -194,6 +194,66 @@ TEST(DporTest, TimeBudgetTruncates) {
   }
 }
 
+// Observer programs (polls, wait_any, non-blocking receives) are where
+// optimal DPOR can still end a path sleep-set blocked. One worker counts
+// such a path the textbook way, as an execution and a redundant
+// exploration; these seeds pin every workers=1 counter, with the trace
+// counters cross-checked against the sleep-set algorithm.
+TEST(DporTest, ObserverProgramsPinOneWorkerCounters) {
+  struct Pin {
+    std::uint64_t seed;
+    bool polls;
+    std::uint64_t executions, terminal_states, redundant, races,
+        wakeup_nodes, transitions;
+    bool deadlock;
+  };
+  const Pin pins[] = {
+      {393, true, 1083, 1080, 3, 2643, 5717, 45360, false},
+      {513, true, 198, 192, 6, 363, 500, 7104, false},
+      {329, false, 42, 12, 12, 60, 108, 756, true},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE("seed=" + std::to_string(pin.seed));
+    RandomProgramOptions o;
+    o.threads = 4;
+    o.max_sends_per_thread = 3;
+    o.allow_nonblocking = true;
+    o.allow_test_poll = pin.polls;
+    o.allow_wait_any = true;
+    o.allow_deadlocks = true;
+    const mcapi::Program p = random_program(pin.seed, o);
+    const DporResult r = run_dpor(p, DporMode::kOptimal);
+    ASSERT_FALSE(r.truncated);
+    EXPECT_FALSE(r.violation_found);
+    EXPECT_EQ(r.stats.executions, pin.executions);
+    EXPECT_EQ(r.stats.terminal_states, pin.terminal_states);
+    EXPECT_EQ(r.stats.redundant_explorations, pin.redundant);
+    EXPECT_EQ(r.stats.races_detected, pin.races);
+    EXPECT_EQ(r.stats.wakeup_nodes, pin.wakeup_nodes);
+    EXPECT_EQ(r.stats.transitions, pin.transitions);
+    EXPECT_EQ(r.stats.parallel_duplicates, 0u);
+    EXPECT_EQ(r.deadlock_found, pin.deadlock);
+
+    const DporResult s = run_dpor(p, DporMode::kSleepSet);
+    ASSERT_FALSE(s.truncated);
+    EXPECT_EQ(s.stats.terminal_states, pin.terminal_states);
+    EXPECT_EQ(s.deadlock_found, pin.deadlock);
+  }
+}
+
+// Sleep-set DPOR keeps its search stack on the heap: stateless, the
+// livelock's unbounded path grows one frame per transition until the
+// transition budget truncates it, with no call-stack recursion to
+// overflow.
+TEST(DporTest, SleepSetTruncatesLongLivelockPath) {
+  DporOptions opts;
+  opts.algorithm = DporMode::kSleepSet;
+  opts.max_transitions = 200'000;
+  const DporResult r = DporChecker(wl::livelock_pair(), opts).run();
+  EXPECT_TRUE(r.truncated);
+  EXPECT_FALSE(r.violation_found);
+}
+
 // The ISSUE acceptance gate: on the BM_Dpor_MessageRace/3 instance
 // (message_race(3,2)) optimal mode explores at least 5x fewer executions
 // than the sleep-set baseline.

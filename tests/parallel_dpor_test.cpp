@@ -1,12 +1,13 @@
-// Determinism contract of the sharded optimal-DPOR engine
-// (DporOptions::workers > 1, src/check/dpor_parallel.cpp):
+// Determinism contract of the optimal-DPOR explorer across worker counts
+// (DporOptions::workers, src/check/dpor_optimal.cpp). "Serial" below is
+// the same explorer at workers == 1, on the calling thread:
 //
 //  * trace-determined counters — executions, terminal_states, deadlock
-//    verdicts — and all verdicts are identical to the serial engine for
+//    verdicts — and all verdicts are identical to the serial run for
 //    every worker count (raced duplicate explorations are killed by their
 //    sleep sets before completing and land in parallel_duplicates, never
 //    in the trace counters);
-//  * redundant_explorations is 0 by construction;
+//  * a fleet's redundant_explorations is 0 by construction;
 //  * transitions is charged arrival-edge-exact — each completed
 //    execution's full path length at retirement. Every linearization of a
 //    Mazurkiewicz trace has the same length, so the counter is EXACTLY
@@ -178,8 +179,8 @@ TEST(ParallelDporTest, ViolationFoundAndReplays) {
 }
 
 // Root-state deadlock (both threads block on their first instruction):
-// exercises the parallel run()'s serial-mirroring first iteration, where
-// no worker is ever spawned.
+// exercises the explorer's root arrival checks, where no worker is ever
+// spawned.
 TEST(ParallelDporTest, InitialDeadlockDetected) {
   mcapi::Program p;
   auto a = p.add_thread("a");
@@ -266,7 +267,8 @@ TEST(ParallelDporTest, StealPathBatteryMatchesSerial) {
 
 // Scheduler telemetry invariants. The VALUES are timing-dependent (they
 // count scheduling work, like races_detected), so the pins are structural:
-// serial runs report all-zero telemetry, and in a sharded run every worker
+// a lone worker has no peers to steal from and reports all-zero telemetry,
+// and in a sharded run every worker
 // other than the seed-holder must log at least one steal or one failed
 // steal round before it can touch any work — so steals + steal_failures
 // >= workers - 1 unconditionally, even on a single-core host where the

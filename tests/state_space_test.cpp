@@ -448,6 +448,8 @@ TEST(StatefulWorkloadsTest, SelectServerLoopTerminatesSafeWithHits) {
   EXPECT_EQ(stateless.deadlock_found, r.deadlock_found);
 }
 
+// The store and cycle stack are single-threaded, so a stateful run explores
+// with one worker whatever `workers` asks for: same counters, no fleet.
 TEST(StatefulWorkloadsTest, SelectServerLoopDporSafe) {
   const mcapi::Program p = wl::select_server_loop(2);
   DporOptions o;
@@ -457,6 +459,17 @@ TEST(StatefulWorkloadsTest, SelectServerLoopDporSafe) {
   EXPECT_FALSE(r.deadlock_found);
   EXPECT_FALSE(r.non_termination_found);
   EXPECT_FALSE(r.truncated);
+
+  o.workers = 4;
+  const DporResult w4 = DporChecker(p, o).run();
+  EXPECT_EQ(w4.stats.executions, r.stats.executions);
+  EXPECT_EQ(w4.stats.transitions, r.stats.transitions);
+  EXPECT_EQ(w4.stats.races_detected, r.stats.races_detected);
+  EXPECT_EQ(w4.stats.state_space.visited_states,
+            r.stats.state_space.visited_states);
+  EXPECT_EQ(w4.stats.state_space.state_hits, r.stats.state_space.state_hits);
+  EXPECT_EQ(w4.stats.steals + w4.stats.steal_failures, 0u);
+  EXPECT_EQ(w4.stats.parallel_duplicates, 0u);
 }
 
 TEST(StatefulWorkloadsTest, RequestStreamSafeEverywhere) {

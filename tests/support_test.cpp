@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -253,6 +255,32 @@ TEST(InternerTest, ManySymbolsStayStable) {
   }
 }
 
+// A copy's index must view the copy's own spellings: copy, destroy the
+// source, and every lookup still resolves (under ASan a stale index is a
+// heap-use-after-free).
+TEST(InternerTest, CopyOutlivesSource) {
+  std::vector<std::string> names;
+  for (int i = 0; i < 100; ++i) names.push_back("name" + std::to_string(i));
+  auto source = std::make_unique<Interner>();
+  for (const std::string& n : names) source->intern(n);
+  Interner copied(*source);
+  Interner assigned;
+  assigned.intern("overwritten");
+  assigned = *source;
+  source.reset();
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const Symbol want(static_cast<std::uint32_t>(i + 1));
+    EXPECT_EQ(copied.find(names[i]), want) << names[i];
+    EXPECT_EQ(assigned.find(names[i]), want) << names[i];
+    EXPECT_EQ(copied.spelling(want), names[i]);
+  }
+  EXPECT_FALSE(assigned.find("overwritten").valid());
+  // The copies keep interning independently.
+  EXPECT_EQ(copied.intern("fresh").raw(), names.size() + 1);
+  EXPECT_EQ(copied.find("fresh").raw(), names.size() + 1);
+  EXPECT_FALSE(assigned.find("fresh").valid());
+}
+
 TEST(InternerTest, InvalidSymbolIsFalsy) {
   Symbol s;
   EXPECT_FALSE(s.valid());
@@ -294,6 +322,38 @@ TEST(StopwatchTest, MonotoneNonNegative) {
   const double b = w.seconds();
   EXPECT_GE(a, 0.0);
   EXPECT_GE(b, a);
+}
+
+// --- Deadline ----------------------------------------------------------------
+
+TEST(DeadlineTest, UnlimitedNeverExpires) {
+  const Stopwatch w;
+  const std::function<bool()> none;
+  Deadline d(w, 0, none);
+  for (int i = 0; i < 1000; ++i) EXPECT_FALSE(d.expired());
+}
+
+TEST(DeadlineTest, HookConsultedOncePer64Polls) {
+  const Stopwatch w;
+  int calls = 0;
+  const std::function<bool()> hook = [&calls] {
+    ++calls;
+    return calls == 3;
+  };
+  Deadline d(w, 0, hook);
+  int polls = 0;
+  while (!d.expired()) ++polls;
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(polls, 3 * 64 - 1);
+}
+
+TEST(DeadlineTest, SpentTimeBudgetExpires) {
+  const Stopwatch w;
+  const std::function<bool()> none;
+  Deadline d(w, 1e-9, none);
+  int polls = 0;
+  while (!d.expired()) ++polls;
+  EXPECT_EQ(polls, 63);
 }
 
 }  // namespace

@@ -524,27 +524,11 @@ int cmd_verify(const Options& o) {
   return verdict_exit_code(vr.verdict);
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+/// `s` as a JSON string literal, quotes included.
+std::string json_quoted(std::string_view s) {
+  std::string out = "\"";
+  mcsym::check::json_escape_into(out, s);
+  out += '"';
   return out;
 }
 
@@ -563,9 +547,9 @@ void append_reply_fields(std::ostringstream& os,
                          const VerifierService::Stats& stats) {
   os << "\"ok\":" << (reply.ok ? "true" : "false");
   if (!reply.ok) {
-    os << ",\"error\":\"" << json_escape(reply.error) << "\"";
+    os << ",\"error\":" << json_quoted(reply.error);
   } else {
-    os << ",\"name\":\"" << json_escape(reply.name) << "\""
+    os << ",\"name\":" << json_quoted(reply.name)
        << ",\"verdict\":\"" << mcsym::check::verdict_name(reply.verdict)
        << "\"";
     if (reply.cancelled) os << ",\"cancelled\":true";
@@ -616,8 +600,8 @@ int cmd_verify_batch(const Options& o) {
     ++entries;
 
     std::ostringstream env;
-    env << "{\"schema\":\"mcsym.batch/1\",\"file\":\"" << json_escape(path)
-        << "\",";
+    env << "{\"schema\":\"mcsym.batch/1\",\"file\":" << json_quoted(path)
+        << ",";
     std::ifstream in(path, std::ios::binary);
     if (!in) {
       VerifierService::Reply unreadable;
@@ -700,9 +684,9 @@ int cmd_serve(const Options& o) {
 
     auto error_reply = [&](const std::string& id, const std::string& message) {
       std::cout << "{\"schema\":\"mcsym.serve/1\",";
-      if (!id.empty()) std::cout << "\"id\":\"" << json_escape(id) << "\",";
-      std::cout << "\"ok\":false,\"error\":\"" << json_escape(message)
-                << "\",\"exit\":2}\n.\n"
+      if (!id.empty()) std::cout << "\"id\":" << json_quoted(id) << ",";
+      std::cout << "\"ok\":false,\"error\":" << json_quoted(message)
+                << ",\"exit\":2}\n.\n"
                 << std::flush;
     };
 
@@ -792,7 +776,7 @@ int cmd_serve(const Options& o) {
     std::ostringstream env;
     env << "{\"schema\":\"mcsym.serve/1\",";
     if (!ro.request_id.empty()) {
-      env << "\"id\":\"" << json_escape(ro.request_id) << "\",";
+      env << "\"id\":" << json_quoted(ro.request_id) << ",";
     }
     append_reply_fields(env, reply, service.stats());
     env << "}\n";
