@@ -129,7 +129,9 @@ struct DporStats {
   /// completed traces — it is identical across exploration orders and
   /// worker counts. The max_transitions budget is enforced against the raw
   /// apply count (every executed step, including later-abandoned work),
-  /// not against this charge.
+  /// not against this charge. Optimal-mode workers reserve that budget in
+  /// chunks, so a fleet (workers > 1) can truncate with up to
+  /// (workers - 1) chunks reserved but not yet applied.
   std::uint64_t transitions = 0;
   std::uint64_t executions = 0;
   std::uint64_t terminal_states = 0;
@@ -151,15 +153,18 @@ struct DporStats {
   // These count scheduling WORK, not trace structure: like races_detected
   // they vary run to run with thread timing, and are surfaced so contention
   // is measurable, not pinned.
-  /// Branches taken from another worker's deque (each steal costs the thief
-  /// a prefix replay of up to the branch's depth — see max_replay_depth).
+  /// Branches taken from another worker's deque whose claim the thief
+  /// then won: steals that moved work. Each one starts with a prefix
+  /// replay of up to the branch's depth (see max_replay_depth). A stolen
+  /// entry whose branch was already claimed counts as a claim_conflict
+  /// instead.
   std::uint64_t steals = 0;
   /// Whole steal rounds (one attempt at every victim) that found nothing.
   /// The idle/backoff spin between rounds; high values mean starved workers.
   std::uint64_t steal_failures = 0;
-  /// Branch claims lost to a concurrent claimer: the claim CAS observed the
-  /// branch pending but another worker won it first. The lock-free analogue
-  /// of mutex contention on the old single-queue scheduler's hot path.
+  /// Branch claims lost to a concurrent claimer: a frame scan observed the
+  /// branch pending but another worker won the CAS first, or a stolen deque
+  /// entry's branch had already been claimed.
   std::uint64_t claim_conflicts = 0;
   /// Deepest prefix replay any navigate() performed when repositioning a
   /// worker onto claimed work (merged by max, not sum). Bounded by the

@@ -22,6 +22,11 @@ namespace mcsym::check::dpor_detail {
 
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
+/// Transitions an optimal-DPOR worker reserves from max_transitions at a
+/// time. A lone worker spends each chunk before it reserves the next, so
+/// its truncation points do not depend on the chunk size.
+inline constexpr std::uint64_t kBudgetChunk = 64;
+
 /// Happens-before over the events of the executed prefix, as a stack of
 /// transitively closed bit rows: row j holds bit k (k < j) iff event k
 /// happens before event j. Rows are packed into 64-bit words in one flat

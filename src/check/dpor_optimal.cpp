@@ -20,12 +20,30 @@
 //    the branch highest in the tree, a large subtree behind a short
 //    navigate() replay. The branch a worker descends into next is never
 //    pushed (its local claim is immediate).
+//  * Deque entries leave as their branches are claimed. A popper or thief
+//    that claims an entry's branch has already removed the entry. A worker
+//    that claims a branch through its frame scan then pops every
+//    non-pending entry off its own deque's bottom (drop_claimed), which is
+//    where its own frames' entries sit by the time it scans them. Entries
+//    it cannot reach — under a pending entry, or in another worker's deque
+//    (a graft pushes onto the grafting worker's deque) — stay until popped
+//    or stolen, and lose the claim there.
 //  * Branch claims are lock-free: a claim is one CAS on the branch state
 //    (kPending -> kClaimed), so a branch reaches exactly one claimer no
 //    matter how many deque entries or frame scans race for it; losers
-//    count a claim_conflict. Branch storage is append-only and chunked
-//    (BranchList), so ev / pick / the sibling prefix below any published
-//    index are immutable and the claim path takes no lock.
+//    count a claim_conflict. Branch storage is append-only (BranchList),
+//    so ev / pick / the sibling prefix below any published index are
+//    immutable and the claim path takes no lock.
+//  * Node layout: the frame's first branch is stored inside the Node; the
+//    BranchList allocates its table of 32 chunk pointers, and chunk c
+//    holding branches [2^c, 2^{c+1}), only when a later branch is
+//    appended. Most frames hold one branch, so most nodes are one
+//    allocation. A branch that reaches a maximal state gets no node: its
+//    child is the explorer's shared leaf_.
+//  * The max_transitions budget is reserved per worker, in chunks of
+//    dpor_detail::kBudgetChunk, so the shared counter is not touched on
+//    every apply. The shared atomics (stop_, outstanding_, transitions_)
+//    sit on separate cache lines.
 //  * Mutation is node-local. Each Node's mutex guards appends to its
 //    branch list (grafts from insert_into_node) and the handoff of a
 //    branch's scheduled subtree into its child frame when it executes.
@@ -110,6 +128,8 @@ using dpor_detail::weak_initial_pos;
 
 constexpr std::uint32_t kNoBranch = static_cast<std::uint32_t>(-1);
 
+constexpr std::size_t kCacheLine = 64;
+
 constexpr std::uint8_t kStatePending = 0;
 constexpr std::uint8_t kStateClaimed = 1;
 constexpr std::uint8_t kStateDone = 2;
@@ -157,13 +177,16 @@ struct Branch {
                                       // freed by the worker that created it
 };
 
-/// Append-only chunked branch storage: chunk k holds 2^k slots, so
-/// branches never move once constructed — their addresses are the deque
-/// entries and their atomics are CASed in place, which a reallocating
-/// vector could never support. Appends (under the owning node's mutex)
-/// fill the slot, then publish it with a release store of the size;
-/// lock-free readers use size_acquire() or an index they obtained from a
-/// published branch, so every slot they touch is fully constructed.
+/// Append-only branch storage. Branch 0 lives inside the list itself (most
+/// frames hold one branch); branch i >= 1 lives in chunk c = floor(log2 i),
+/// which holds the 2^c indices [2^c, 2^{c+1}). The chunk table is allocated
+/// by the second append. Branches never move once constructed — their
+/// addresses are the deque entries and their atomics are CASed in place,
+/// which a reallocating vector could never support. Appends (under the
+/// owning node's mutex) fill the slot, then publish it with a release
+/// store of the size; lock-free readers use size_acquire() or an index
+/// they obtained from a published branch, so every slot they touch is
+/// fully constructed.
 class BranchList {
  public:
   BranchList() = default;
@@ -171,9 +194,12 @@ class BranchList {
   BranchList& operator=(const BranchList&) = delete;
 
   ~BranchList() {
-    for (std::atomic<Branch*>& c : chunks_) {
-      delete[] c.load(std::memory_order_relaxed);
+    std::atomic<Branch*>* table = table_.load(std::memory_order_relaxed);
+    if (table == nullptr) return;
+    for (std::uint32_t c = 0; c < kMaxChunks; ++c) {
+      delete[] table[c].load(std::memory_order_relaxed);
     }
+    delete[] table;
   }
 
   [[nodiscard]] std::uint32_t size_acquire() const {
@@ -181,8 +207,10 @@ class BranchList {
   }
 
   [[nodiscard]] Branch& operator[](std::uint32_t i) const {
+    if (i == 0) return first_;
     const std::uint32_t c = chunk_of(i);
-    return chunks_[c].load(std::memory_order_acquire)[i - chunk_base(c)];
+    return table_.load(std::memory_order_acquire)[c].load(
+        std::memory_order_acquire)[i - (std::uint32_t{1} << c)];
   }
 
   /// Forgets every branch but keeps the storage, for a recycled node.
@@ -192,14 +220,7 @@ class BranchList {
   Branch& append(Node* owner, ActionFootprint ev, WakeupTree subtree,
                  bool pick) {
     const std::uint32_t i = size_.load(std::memory_order_relaxed);
-    const std::uint32_t c = chunk_of(i);
-    MCSYM_ASSERT(c < kMaxChunks);
-    Branch* chunk = chunks_[c].load(std::memory_order_relaxed);
-    if (chunk == nullptr) {
-      chunk = new Branch[std::size_t{1} << c];
-      chunks_[c].store(chunk, std::memory_order_release);
-    }
-    Branch& b = chunk[i - chunk_base(c)];
+    Branch& b = i == 0 ? first_ : chunk_slot(i);
     b.ev = std::move(ev);
     b.subtree = std::move(subtree);
     b.owner = owner;
@@ -212,25 +233,37 @@ class BranchList {
   }
 
  private:
-  // Most frames hold one or two branches, so the first chunk is a single
-  // slot; 32 doublings cover every 32-bit index.
+  // 32 doublings cover every nonzero 32-bit index.
   static constexpr std::uint32_t kMaxChunks = 32;
 
-  /// Chunk k covers indices [2^k - 1, 2^{k+1} - 1).
   [[nodiscard]] static std::uint32_t chunk_of(std::uint32_t i) {
-    return static_cast<std::uint32_t>(std::bit_width(std::uint64_t{i} + 1)) - 1;
+    return static_cast<std::uint32_t>(std::bit_width(i)) - 1;
   }
 
-  [[nodiscard]] static std::uint32_t chunk_base(std::uint32_t c) {
-    return static_cast<std::uint32_t>((std::uint64_t{1} << c) - 1);
+  /// The slot of index i >= 1, allocating the table and its chunk on
+  /// first use (caller holds the owning node's mutex).
+  Branch& chunk_slot(std::uint32_t i) {
+    std::atomic<Branch*>* table = table_.load(std::memory_order_relaxed);
+    if (table == nullptr) {
+      table = new std::atomic<Branch*>[kMaxChunks]();
+      table_.store(table, std::memory_order_release);
+    }
+    const std::uint32_t c = chunk_of(i);
+    Branch* chunk = table[c].load(std::memory_order_relaxed);
+    if (chunk == nullptr) {
+      chunk = new Branch[std::size_t{1} << c];
+      table[c].store(chunk, std::memory_order_release);
+    }
+    return chunk[i - (std::uint32_t{1} << c)];
   }
 
-  mutable std::atomic<Branch*> chunks_[kMaxChunks] = {};
+  mutable Branch first_;
+  std::atomic<std::atomic<Branch*>*> table_{nullptr};
   std::atomic<std::uint32_t> size_{0};
 };
 
 /// One frame of the shared exploration tree. parent/depth/arrival/
-/// inherited_sleep/maximal/cycle_fp are written before the node is
+/// inherited_sleep/cycle_fp are written before the node is
 /// published (via its parent branch's `child` release store) and immutable
 /// afterwards; `branches` grows append-only under `mu`, which also
 /// serializes grafts into an unexecuted branch's subtree against that
@@ -243,7 +276,6 @@ struct Node {
   std::vector<ActionFootprint> inherited_sleep;
   std::mutex mu;
   BranchList branches;
-  bool maximal = false;  // no enabled action at this state
   std::optional<std::uint64_t> cycle_fp;  // stateful: on the cycle stack
 };
 
@@ -292,6 +324,11 @@ class OptimalExplorer {
     // all workers have stopped touching the tree (see worker_main).
     std::vector<std::unique_ptr<Node>> nodes;
     std::vector<Node*> spare;  // one worker: finished nodes, ready for reuse
+    // Applies reserved from the shared max_transitions budget and not yet
+    // spent; `budget_ends` when this reservation holds the budget's last
+    // transition.
+    std::uint64_t budget = 0;
+    bool budget_ends = false;
     DporStats stats;
     // count_feasible scratch
     std::vector<std::pair<mcapi::ChannelId, std::ptrdiff_t>> chan_len;
@@ -325,6 +362,19 @@ class OptimalExplorer {
   /// Folds a stopped worker's counters into the result.
   void merge(const Worker& w);
 
+  /// Pops the entries at the bottom of the worker's own deque whose
+  /// branches are no longer pending (claimed by a frame scan, or done), so
+  /// thieves do not steal them only to lose the claim. Stops at the first
+  /// pending entry.
+  void drop_claimed(Worker& w) {
+    if (single_) return;
+    StealDeque<Branch>& dq = *deques_[w.id];
+    while (Branch* b = dq.peek()) {
+      if (b->state.load(std::memory_order_relaxed) == kStatePending) return;
+      (void)dq.pop();
+    }
+  }
+
   /// Lock-free claim: exactly one caller wins the pending -> claimed CAS.
   [[nodiscard]] static bool try_claim(Branch& b) {
     std::uint8_t expected = kStatePending;
@@ -351,6 +401,24 @@ class OptimalExplorer {
     if (single_) return;
     outstanding_.fetch_add(1, std::memory_order_relaxed);
     deques_[w.id]->push(&b);
+  }
+
+  /// Takes one transition of the max_transitions budget for the next
+  /// apply: from the worker's reserved chunk, or by reserving the next
+  /// dpor_detail::kBudgetChunk (the last chunk is cut at the budget).
+  /// False when the budget is spent. One worker spends the budget exactly;
+  /// a fleet may stop with up to (workers - 1) chunks reserved but unspent.
+  bool reserve_transition(Worker& w) {
+    if (w.budget == 0) {
+      const std::uint64_t max = options_.max_transitions;
+      const std::uint64_t got = transitions_.fetch_add(
+          dpor_detail::kBudgetChunk, std::memory_order_relaxed);
+      if (got >= max) return false;
+      w.budget = std::min(dpor_detail::kBudgetChunk, max - got);
+      w.budget_ends = w.budget == max - got;
+    }
+    --w.budget;
+    return true;
   }
 
   /// A path its sleep set killed before it completed an execution. One
@@ -406,16 +474,23 @@ class OptimalExplorer {
   CycleStack* const cycles_;
 
   Node root_;
+  /// The child of every branch whose execution reached a maximal state
+  /// (see execute_branch). It holds no branches and no worker enters it.
+  Node leaf_;
   std::vector<std::unique_ptr<StealDeque<Branch>>> deques_;  // one per worker
+  // The shared atomics sit on separate cache lines: outstanding_ is
+  // written once per branch, stop_ read by every step, transitions_
+  // written once per budget chunk.
   /// Branches created but not yet retired; zero <=> exploration complete
   /// (the steal-round quiescence test — see worker_main).
-  std::atomic<std::uint64_t> outstanding_{0};
-
-  std::atomic<bool> stop_{false};
+  alignas(kCacheLine) std::atomic<std::uint64_t> outstanding_{0};
+  alignas(kCacheLine) std::atomic<bool> stop_{false};
   std::atomic<bool> truncated_{false};
-  std::atomic<std::uint64_t> transitions_{0};
+  /// Transitions reserved from max_transitions so far (see
+  /// reserve_transition).
+  alignas(kCacheLine) std::atomic<std::uint64_t> transitions_{0};
   /// Every worker arrives once it stops exploring (see worker_main).
-  std::barrier<> teardown_;
+  alignas(kCacheLine) std::barrier<> teardown_;
 
   // Result fields (violation / deadlock / stats merge), guarded separately
   // so a finisher never contends with tree traffic.
@@ -514,7 +589,7 @@ std::size_t OptimalExplorer::insert_into_node(Worker& w, Node* f,
   bool deeper = false;
   while (true) {
     if (w_.empty()) return 0;     // an explored/scheduled path covers w
-    if (node->maximal) return 0;  // executed leaf ⊑ w
+    if (node == &leaf_) return 0;  // executed maximal leaf ⊑ w
     std::unique_lock<std::mutex> lock(node->mu);
     bool descended = false;
     bool has_scheduled = false;
@@ -668,10 +743,7 @@ Node* OptimalExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
     abort = true;
     return nullptr;
   }
-  if (transitions_.load(std::memory_order_relaxed) >= options_.max_transitions ||
-      w.deadline.expired()) {
-    return truncate();
-  }
+  if (w.deadline.expired()) return truncate();
 
   // The hot claim path is lock-free end to end: this branch is ours (the
   // claim CAS already won), its ev is immutable, and the ordered-before
@@ -714,15 +786,15 @@ Node* OptimalExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
   // The max_transitions budget counts every fresh apply (honest work
   // bound); stats.transitions is charged arrival-edge-exact at execution
   // completion instead, so killed-path work never inflates it.
+  if (!reserve_transition(w)) return truncate();
   w.sys.apply(fresh.action);
-  const std::uint64_t applied =
-      transitions_.fetch_add(1, std::memory_order_relaxed) + 1;
   push_event(w, fresh);
 
   // Every applied edge is race-scanned once, by its first executor (prefix
-  // replays skip it); the scan grafts only into frames above `node`. A
-  // budget this apply spends stops the search before the arrival counts.
-  if (applied >= options_.max_transitions) {
+  // replays skip it); the scan grafts only into frames above `node`. An
+  // apply that spends the whole budget stops the search before the arrival
+  // counts.
+  if (w.budget == 0 && w.budget_ends) {
     scan_races(w, fresh);
     return truncate();
   }
@@ -746,12 +818,37 @@ Node* OptimalExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
   }
 
   w.sys.enabled(w.enabled);
-  const bool maximal = w.enabled.empty();
+  if (w.enabled.empty()) {
+    // A maximal state gets no frame of its own: no worker descends into it,
+    // and a graft that reaches it only needs to learn that the branch ended
+    // in a leaf, which the shared leaf_ tells it. Whatever was grafted into
+    // b.subtree is dropped: a maximal state enables none of it.
+    b.child.store(&leaf_, std::memory_order_release);
+    scan_races(w, fresh);
+    // Arrival-edge-exact: this completed execution's full path length.
+    // Every linearization of its Mazurkiewicz trace has the same length,
+    // so the charge is the same whichever linearization won the claim
+    // race.
+    w.stats.transitions += w.events.size();
+    ++w.stats.executions;
+    if (w.sys.all_halted()) {
+      ++w.stats.terminal_states;
+    } else {
+      std::lock_guard<std::mutex> g(result_mu_);
+      result_->deadlock_found = true;
+      if (result_->deadlock_schedule.empty()) {
+        result_->deadlock_schedule = actions_of(w.events);
+      }
+    }
+    retire(b);
+    pop_event(w);
+    return nullptr;
+  }
 
   // Stateful runs have one worker, so the scheduled subtree and the result
   // are used without locks.
   std::optional<std::uint64_t> fp;
-  if (!maximal && cycles_ != nullptr &&
+  if (cycles_ != nullptr &&
       !dpor_detail::enter_state(w.sys, w.events.size(), child_sleep.empty(),
                                 !b.subtree.empty(), *store_, *cycles_, *result_,
                                 [&] { return actions_of(w.events); }, fp)) {
@@ -777,28 +874,24 @@ Node* OptimalExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
   cp->depth = node->depth + 1;
   cp->arrival = fresh;
   cp->inherited_sleep = std::move(child_sleep);
-  cp->maximal = maximal;
   cp->cycle_fp = fp;
   std::uint32_t child_branches = 0;
   {
     std::lock_guard<std::mutex> g(node->mu);
-    if (!maximal) {
-      WakeupTree scheduled = std::move(b.subtree);
-      while (!scheduled.empty()) {
-        auto [ev2, sub2] = scheduled.pop_first();
-        cp->branches.append(cp, std::move(ev2), std::move(sub2),
-                            /*pick=*/false);
-      }
-      child_branches = cp->branches.size_acquire();
-      if (child_branches == 0 && !pick_fp.empty()) {
-        cp->branches.append(cp, std::move(pick_fp.front()), WakeupTree{},
-                            /*pick=*/true);
-        child_branches = 1;
-      }
+    WakeupTree scheduled = std::move(b.subtree);
+    while (!scheduled.empty()) {
+      auto [ev2, sub2] = scheduled.pop_first();
+      cp->branches.append(cp, std::move(ev2), std::move(sub2),
+                          /*pick=*/false);
+    }
+    child_branches = cp->branches.size_acquire();
+    if (child_branches == 0 && !pick_fp.empty()) {
+      cp->branches.append(cp, std::move(pick_fp.front()), WakeupTree{},
+                          /*pick=*/true);
+      child_branches = 1;
     }
     b.child.store(cp, std::memory_order_release);
   }
-  const bool sleep_blocked = !maximal && child_branches == 0;
 
   // Expose the new branches to thieves, oldest-last so the deque's TOP
   // (the steal end) holds branch 1 and the bottom pop — were this worker
@@ -813,29 +906,11 @@ Node* OptimalExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
   }
   scan_races(w, fresh);  // after publishing: thieves may take the branches
 
-  if (maximal || sleep_blocked) {
-    if (maximal) {
-      // Arrival-edge-exact: this completed execution's full path length.
-      // Every linearization of its Mazurkiewicz trace has the same length,
-      // so the charge is the same whichever linearization won the claim
-      // race.
-      w.stats.transitions += w.events.size();
-      ++w.stats.executions;
-      if (w.sys.all_halted()) {
-        ++w.stats.terminal_states;
-      } else {
-        std::lock_guard<std::mutex> g(result_mu_);
-        result_->deadlock_found = true;
-        if (result_->deadlock_schedule.empty()) {
-          result_->deadlock_schedule = actions_of(w.events);
-        }
-      }
-    } else {
-      // Every enabled action asleep: the trace this path was heading for
-      // is (or will be) explored via another linearization, so it charges
-      // no transitions.
-      count_blocked(w);
-    }
+  if (child_branches == 0) {
+    // Every enabled action asleep: the trace this path was heading for
+    // is (or will be) explored via another linearization, so it charges
+    // no transitions.
+    count_blocked(w);
     retire(b);
     pop_event(w);
     leave(w, cp);
@@ -856,9 +931,10 @@ void OptimalExplorer::explore(Worker& w, Node* entry, std::uint32_t entry_branch
     if (child != nullptr) node = child;
     // Claim the next pending branch at the current frame — a lock-free CAS
     // scan in sibling order — ascending (and retiring finished branches)
-    // until one is found or the claimed subtree is exhausted. The deque
-    // may still hold entries for branches claimed here; their claim CAS
-    // fails at the popper/thief and they are skipped.
+    // until one is found or the claimed subtree is exhausted. A branch
+    // claimed here may still have a deque entry; drop_claimed() removes
+    // those at this worker's deque bottom, and any left elsewhere fail
+    // their claim CAS at the popper/thief and are skipped.
     while (true) {
       if (stop_.load(std::memory_order_relaxed)) return;
       std::uint32_t next = kNoBranch;
@@ -873,6 +949,7 @@ void OptimalExplorer::explore(Worker& w, Node* entry, std::uint32_t entry_branch
         ++w.stats.claim_conflicts;  // observed pending, lost the CAS
       }
       if (next != kNoBranch) {
+        drop_claimed(w);
         bi = next;
         break;  // execute it (outer loop)
       }
@@ -956,17 +1033,17 @@ void OptimalExplorer::worker_main(std::uint32_t id) {
         ++idle_rounds;
         continue;
       }
-      ++w.stats.steals;
     }
     idle_rounds = 0;
     if (!try_claim(*b)) {
-      // Stale deque entry (the owner claimed it during its own descent) or
-      // a genuinely lost race; either way someone else runs it. Own-deque
-      // staleness is the common, uncontended case — only a stolen entry
-      // that slips away counts as a conflict.
+      // Stale deque entry (claimed by a frame scan while the entry sat in
+      // a deque) or a genuinely lost race; either way someone else runs
+      // it. Own-deque staleness is the uncontended case — only a stolen
+      // entry that slips away counts as a conflict.
       if (stolen) ++w.stats.claim_conflicts;
       continue;
     }
+    if (stolen) ++w.stats.steals;  // a steal that took work
     navigate(w, b->owner);
     explore(w, b->owner, b->index);
   }

@@ -1,7 +1,7 @@
 // Chase–Lev work-stealing deque (Chase & Lev, SPAA'05; memory orderings
 // after Lê, Pop, Cohen & Zappa Nardelli, PPoPP'13) over plain pointers.
 //
-// One worker OWNS each deque: only the owner calls push()/pop(), both at
+// One worker OWNS each deque: only the owner calls push()/pop()/peek(), at
 // the bottom, so local exploration stays LIFO — the owner keeps descending
 // into the subtree it just created, cache- and journal-hot. Any other
 // worker may call steal(), which takes from the TOP: the oldest entry,
@@ -76,6 +76,17 @@ class StealDeque {
     }
     bottom_.store(b + 1, std::memory_order_relaxed);
     return item;
+  }
+
+  /// Owner only: the entry pop() would return next, left in place; nullptr
+  /// when empty. A thief can still take it (only when it is the last
+  /// entry); the following pop() then returns nullptr.
+  T* peek() const {
+    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
+    const std::int64_t t = top_.load(std::memory_order_acquire);
+    if (t >= b) return nullptr;
+    Buffer* buf = buffer_.load(std::memory_order_relaxed);
+    return buf->cells[(b - 1) & buf->mask].load(std::memory_order_relaxed);
   }
 
   /// Any thread: take the OLDEST entry. Returns nullptr with `lost_race`

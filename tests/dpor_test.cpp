@@ -5,8 +5,10 @@
 // both must agree with the unreduced explicit checker on every verdict.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "check/dpor.hpp"
@@ -191,6 +193,51 @@ TEST(DporTest, TimeBudgetTruncates) {
     DporChecker checker(p, opts);
     const DporResult r = checker.run();
     EXPECT_TRUE(r.truncated);
+  }
+}
+
+// One worker's truncation points at every max_transitions from 1 to 300.
+// A budget of b stops the search at the b-th fresh apply, before that
+// apply's arrival counts, so which executions completed is a function of b
+// alone. `completes_at[k]` is the smallest budget under which execution
+// k+1 completes; every execution of these workloads has the same length,
+// so transitions is executions x that length. The table was recorded when
+// every apply charged the shared budget counter directly; the explorer
+// now reserves budget per worker in chunks and must stop at the same
+// points.
+TEST(DporTest, OneWorkerBudgetSweepPinsTruncationPoints) {
+  struct Sweep {
+    const char* name;
+    mcapi::Program program;
+    std::uint64_t execution_length;
+    std::uint64_t full_budget;  // smallest budget that does not truncate
+    std::vector<std::uint64_t> completes_at;
+  };
+  const Sweep sweeps[] = {
+      {"message_race(3,2)", wl::message_race(3, 2), 18, 547,
+       {19,  25,  29,  37,  41,  47,  57,  63,  67,  75,  81,  85,
+        93,  97,  103, 107, 113, 117, 127, 131, 137, 145, 149, 155,
+        159, 165, 169, 177, 183, 187, 199, 205, 209, 217, 223, 227,
+        235, 239, 245, 249, 255, 259, 269, 275, 279, 287, 291, 297}},
+      {"token_fanout(4)", wl::token_fanout(4), 24, 161,
+       {25, 29, 38, 42, 48, 52, 67, 71, 80, 84, 90, 94,
+        105, 109, 115, 119, 125, 129, 137, 141, 147, 151, 157, 161}},
+  };
+  for (const Sweep& s : sweeps) {
+    for (std::uint64_t budget = 1; budget <= 300; ++budget) {
+      SCOPED_TRACE(std::string(s.name) + " max_transitions=" +
+                   std::to_string(budget));
+      DporOptions opts;
+      opts.max_transitions = budget;
+      const DporResult r = DporChecker(s.program, opts).run();
+      const auto completed = static_cast<std::uint64_t>(
+          std::count_if(s.completes_at.begin(), s.completes_at.end(),
+                        [budget](std::uint64_t at) { return at <= budget; }));
+      ASSERT_EQ(r.truncated, budget < s.full_budget);
+      ASSERT_EQ(r.stats.executions, completed);
+      ASSERT_EQ(r.stats.terminal_states, completed);
+      ASSERT_EQ(r.stats.transitions, completed * s.execution_length);
+    }
   }
 }
 

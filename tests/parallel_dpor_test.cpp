@@ -25,6 +25,7 @@
 #include <cstdint>
 
 #include "check/dpor.hpp"
+#include "check/dpor_internal.hpp"
 #include "check/random_program.hpp"
 #include "check/workloads.hpp"
 #include "mcapi/executor.hpp"
@@ -205,14 +206,35 @@ TEST(ParallelDporTest, InitialDeadlockDetected) {
 // Both budget axes truncate a sharded search promptly and cleanly: the
 // transition counter is shared (atomic), the wall clock is probed by every
 // worker on the serial engine's amortized schedule.
+// Each worker reserves max_transitions in chunks of kBudgetChunk.
+// Budgets on either side of a chunk boundary, all far below what the
+// program needs, must truncate; a budget ten times the one-worker need
+// must not, even with every other worker holding an unspent chunk.
 TEST(ParallelDporTest, BudgetsTruncateSharded) {
   const mcapi::Program p = wl::message_race(3, 2);
+  constexpr std::uint64_t kChunk = dpor_detail::kBudgetChunk;
+  constexpr std::uint64_t kOneWorkerNeed = 547;  // dpor_test's budget sweep
+  DporOptions one;
+  one.max_transitions = kOneWorkerNeed;
+  ASSERT_FALSE(DporChecker(p, one).run().truncated);
+  one.max_transitions = kOneWorkerNeed - 1;
+  ASSERT_TRUE(DporChecker(p, one).run().truncated);
   for (const std::uint32_t workers : {2u, 4u, 8u}) {
-    DporOptions opts;
-    opts.workers = workers;
-    opts.max_transitions = 10;
-    const DporResult tr = DporChecker(p, opts).run();
-    EXPECT_TRUE(tr.truncated) << "workers=" << workers;
+    for (const std::uint64_t budget :
+         {std::uint64_t{1}, std::uint64_t{10}, kChunk - 1, kChunk, kChunk + 1}) {
+      DporOptions opts;
+      opts.workers = workers;
+      opts.max_transitions = budget;
+      const DporResult tr = DporChecker(p, opts).run();
+      EXPECT_TRUE(tr.truncated) << "workers=" << workers << " budget=" << budget;
+    }
+
+    DporOptions ample;
+    ample.workers = workers;
+    ample.max_transitions = 10 * kOneWorkerNeed;
+    const DporResult full = DporChecker(p, ample).run();
+    EXPECT_FALSE(full.truncated) << "workers=" << workers;
+    EXPECT_EQ(full.stats.executions, 90u) << "workers=" << workers;
 
     DporOptions wopts;
     wopts.workers = workers;

@@ -5,6 +5,7 @@ Usage:
     bench_gate.py OLD.json NEW.json [--benchmark NAME ...] [--max-ratio R]
                   [--speedup FAST:BASE:MIN ...]
                   [--min-counter BENCH:COUNTER:MIN ...]
+                  [--max-counter BENCH:COUNTER:MAX ...]
 
 Fails (exit 1) when any named benchmark's time in NEW exceeds max-ratio x
 its time in OLD. Benchmarks named but missing from OLD are reported and
@@ -38,6 +39,12 @@ series because the counter gate then guards nothing and the
 compared-nothing warning fires). A benchmark that IS present but lacks
 the named counter is a hard failure — the series ran and silently lost
 its telemetry.
+
+--max-counter BENCH:COUNTER:MAX (repeatable) is the ceiling twin of
+--min-counter, with the same skip and failure rules: fail unless
+counters[COUNTER] <= MAX. The nightly uses it to keep claim_conflicts of
+BM_Dpor_Parallel_MessageRace/4/4 low, so deque entries for branches that
+are already claimed cannot come back unnoticed.
 
 The nightly workflow feeds this with the previous run's bench-json
 artifact, turning the accumulating perf trajectory into an alarm instead
@@ -122,13 +129,21 @@ def main():
         help="counter floor gate on NEW.json: fail unless the named "
         "benchmark's user counter is >= MIN (repeatable)",
     )
+    parser.add_argument(
+        "--max-counter",
+        action="append",
+        default=[],
+        metavar="BENCH:COUNTER:MAX",
+        help="counter ceiling gate on NEW.json: fail unless the named "
+        "benchmark's user counter is <= MAX (repeatable)",
+    )
     args = parser.parse_args()
     # Ratio/counter-only invocations (intra-NEW gates) skip the default
     # old-vs-new benchmark; naming none with neither gate keeps the
     # historical default.
     if args.benchmark is not None:
         benchmarks = args.benchmark
-    elif args.speedup or args.min_counter:
+    elif args.speedup or args.min_counter or args.max_counter:
         benchmarks = []
     else:
         benchmarks = ["BM_Dpor_MessageRace/4"]
@@ -186,14 +201,19 @@ def main():
         )
         failed |= speedup < min_s
 
-    new_entries = load_entries(args.new_json) if args.min_counter else {}
-    for spec in args.min_counter:
+    counter_gates = [(spec, "floor") for spec in args.min_counter] + [
+        (spec, "ceiling") for spec in args.max_counter
+    ]
+    new_entries = load_entries(args.new_json) if counter_gates else {}
+    for spec, kind in counter_gates:
+        flag = "--min-counter" if kind == "floor" else "--max-counter"
         parts = spec.rsplit(":", 2)
         if len(parts) != 3:
-            print(f"FAIL --min-counter '{spec}': expected BENCH:COUNTER:MIN")
+            bound_name = "MIN" if kind == "floor" else "MAX"
+            print(f"FAIL {flag} '{spec}': expected BENCH:COUNTER:{bound_name}")
             failed = True
             continue
-        bench, counter, floor = parts[0], parts[1], float(parts[2])
+        bench, counter, bound = parts[0], parts[1], float(parts[2])
         entry = new_entries.get(bench)
         if entry is None:
             # The whole series is absent from the run — a BENCH_FILTERed
@@ -212,17 +232,18 @@ def main():
             print(f"FAIL counter {bench}: no counter '{counter}'")
             failed = True
             continue
-        verdict = "FAIL" if value < floor else "ok"
+        bad = value < bound if kind == "floor" else value > bound
+        verdict = "FAIL" if bad else "ok"
         print(
             f"{verdict} counter {bench} {counter}={value:.0f} "
-            f"(floor {floor:.0f})"
+            f"({kind} {bound:.0f})"
         )
-        failed |= value < floor
+        failed |= bad
 
     print(
         f"summary: {compared} compared, {len(skipped)} skipped, "
         f"{len(args.speedup)} speedup gate(s), "
-        f"{len(args.min_counter)} counter gate(s)"
+        f"{len(counter_gates)} counter gate(s)"
     )
     if benchmarks and compared == 0 and not failed:
         # Every named series was skipped: the gate ran but guarded nothing.
