@@ -223,7 +223,10 @@ BENCHMARK(BM_Dpor_MessageRace_SleepSet)->Arg(2)->Arg(3)->Arg(4);
 // queue. Real time is the honest metric — cpu_time sums the fleet. The
 // verdict and every counter are byte-identical across the axis (pinned by
 // verifier_test); this series tracks whether the sharding actually buys
-// wall clock on a multi-trace request.
+// wall clock on a multi-trace request. `decisions` and `conflicts` are the
+// SAT search effort of one request, summed over its trace checks: the
+// nightly ceiling on `decisions` catches a solver change that loses theory
+// propagation without changing any verdict.
 void BM_Symbolic_Sharded(benchmark::State& state) {
   const auto workers = static_cast<std::uint32_t>(state.range(0));
   const mcapi::Program p = wl::message_race(4, 2);
@@ -232,13 +235,21 @@ void BM_Symbolic_Sharded(benchmark::State& state) {
   req.traces = 16;
   req.workers = workers;
   check::Verdict verdict = check::Verdict::kUnknown;
+  std::uint64_t decisions = 0;
+  std::uint64_t conflicts = 0;
   for (auto _ : state) {
     check::Verifier verifier;
     const check::VerifyReport report = verifier.verify(p, req);
     verdict = report.verdict;
+    for (const auto& [name, value] : report.engines.back().counters) {
+      if (name == "decisions") decisions = value;
+      if (name == "conflicts") conflicts = value;
+    }
     benchmark::DoNotOptimize(&report);
   }
   state.counters["safe"] = verdict == check::Verdict::kSafe ? 1 : 0;
+  state.counters["decisions"] = static_cast<double>(decisions);
+  state.counters["conflicts"] = static_cast<double>(conflicts);
 }
 BENCHMARK(BM_Symbolic_Sharded)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 

@@ -57,6 +57,8 @@ constexpr double kBiases[] = {1.0, 0.5, 2.0};
 /// thread that owns the current stage (engine rows are pushed in a fixed
 /// order after joins, never from inside concurrent engines).
 struct Ctx {
+  Ctx(const mcapi::Program& p, const VerifyRequest& r) : program(p), request(r) {}
+
   const mcapi::Program& program;
   const VerifyRequest& request;
   support::Stopwatch timer;
@@ -942,7 +944,7 @@ bool EnumerateReport::truncated_any() const {
 VerifyReport Verifier::verify(const mcapi::Program& program,
                               VerifyRequest request) {
   MCSYM_ASSERT_MSG(program.finalized(), "finalize the program before verifying");
-  Ctx ctx{program, request};
+  Ctx ctx(program, request);
   VerifyReport& report = ctx.report;
   report.engine = request.engine;
   report.program = &program;

@@ -1,6 +1,7 @@
 #include "smt/idl.hpp"
 
 #include <algorithm>
+#include <functional>
 
 namespace mcsym::smt {
 
@@ -17,6 +18,7 @@ IntVarId IdlTheory::new_int_var() {
   scanned_.push_back(0);
   parent_edge_.push_back(0);
   adjacency_.emplace_back();
+  node_atoms_.emplace_back();
   return v;
 }
 
@@ -28,68 +30,98 @@ Lit IdlTheory::atom(IntVarId x, IntVarId y, std::int64_t k) {
   }
   const Var v = sat_.new_var(/*theory_relevant=*/true);
   atom_vars_.emplace(key, v);
-  var_atoms_.emplace(v, key);
+  if (var_atoms_.size() <= v) var_atoms_.resize(v + 1, AtomKey{kNoNode, kNoNode, 0});
+  var_atoms_[v] = key;
+  if (x != y) {
+    node_atoms_[x].push_back(NodeAtom{y, v});
+    node_atoms_[y].push_back(NodeAtom{x, v});
+  }
   return Lit::make(v, false);
 }
 
-bool IdlTheory::theory_assign(Lit lit) {
-  const auto it = var_atoms_.find(lit.var());
-  MCSYM_ASSERT_MSG(it != var_atoms_.end(), "unknown theory atom");
-  const AtomKey& a = it->second;
+bool IdlTheory::theory_assign(Lit lit, std::vector<Lit>& implied) {
+  MCSYM_ASSERT_MSG(lit.var() < var_atoms_.size() && var_atoms_[lit.var()].x != kNoNode,
+                   "unknown theory atom");
+  const AtomKey& a = var_atoms_[lit.var()];
   // Atom: x - y <= k, i.e. edge (y -> x, k).
   // Negation: y - x <= -k-1, i.e. edge (x -> y, -k-1).
   if (!lit.negated()) {
-    return add_edge(a.y, a.x, a.k, lit);
+    return add_edge(a.y, a.x, a.k, lit, implied);
   }
-  return add_edge(a.x, a.y, -a.k - 1, lit);
+  return add_edge(a.x, a.y, -a.k - 1, lit, implied);
 }
 
-bool IdlTheory::add_edge(IntVarId u, IntVarId v, std::int64_t w, Lit lit) {
+bool IdlTheory::add_edge(IntVarId u, IntVarId v, std::int64_t w, Lit lit,
+                         std::vector<Lit>& implied) {
   ++stats_.edges_asserted;
-  auto record = [&] {
-    adjacency_[u].push_back(static_cast<std::uint32_t>(edges_.size()));
-    edges_.push_back(Edge{u, v, w, lit});
-  };
-
   if (u == v) {
-    if (w >= 0) {  // x - x <= k with k >= 0: vacuous, keep for bookkeeping
-      record();
-      return true;
+    if (w < 0) {
+      ++stats_.conflicts;
+      conflict_.assign(1, lit);
+      return false;
     }
-    ++stats_.conflicts;
-    conflict_.assign(1, lit);
+    // x - x <= k with k >= 0: vacuous, kept for bookkeeping.
+  } else if (!collect_implied(u, v, w, lit, implied)) {
+    return false;
+  } else if (pi_[u] + w - pi_[v] < 0 && !repair(u, v, w, lit)) {
     return false;
   }
-  if (pi_[u] + w - pi_[v] >= 0) {  // reduced cost nonnegative: still feasible
-    record();
-    return true;
-  }
+  adjacency_[u].push_back(static_cast<std::uint32_t>(edges_.size()));
+  edges_.push_back(Edge{u, v, w, lit});
+  return true;
+}
 
-  // Repair pi with a Dijkstra-like pass over reduced costs, starting from the
-  // violated head v. All pi changes go through `commit` so a detected cycle
-  // can roll them back, keeping pi feasible for the accepted edges.
+bool IdlTheory::collect_implied(IntVarId u, IntVarId v, std::int64_t w, Lit lit,
+                                std::vector<Lit>& implied) {
+  const bool from_u = node_atoms_[u].size() <= node_atoms_[v].size();
+  const IntVarId other = from_u ? v : u;
+  for (const NodeAtom& na : node_atoms_[from_u ? u : v]) {
+    if (na.other != other) continue;
+    const AtomKey& a = var_atoms_[na.var];
+    Lit l;
+    if (a.y == u) {  // true edge (u -> v, k)
+      if (a.k < w) continue;
+      l = Lit::make(na.var, false);
+    } else {         // true edge (v -> u, k)
+      if (a.k + w >= 0) continue;
+      l = Lit::make(na.var, true);
+    }
+    const LBool val = sat_.value(l);
+    if (val == LBool::kUndef) {
+      implied.push_back(l);
+    } else if (val == LBool::kFalse) {
+      ++stats_.conflicts;
+      conflict_.assign({lit, ~l});
+      return false;
+    }
+  }
+  return true;
+}
+
+bool IdlTheory::repair(IntVarId u, IntVarId v, std::int64_t w, Lit lit) {
+  // Dijkstra-like pass over reduced costs, starting from the violated head
+  // v. All pi changes are journaled so a detected cycle can roll them back,
+  // keeping pi feasible for the accepted edges.
   ++stats_.repairs;
   ++repair_stamp_;
   pi_undo_.clear();
-  using QEntry = std::pair<std::int64_t, IntVarId>;  // (slack, node), min first
-  std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> queue;
+  heap_.clear();
+  const auto push = [this](std::int64_t slack, IntVarId node) {
+    heap_.emplace_back(slack, node);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  };
 
   gamma_[v] = pi_[u] + w;
   stamp_[v] = repair_stamp_;
   // parent_edge_ holds the edge used to improve the node; the new edge is not
   // in edges_ yet, so the sentinel 0xffffffff marks "improved by new edge".
   parent_edge_[v] = 0xffffffffu;
-  queue.emplace(gamma_[v] - pi_[v], v);
+  push(gamma_[v] - pi_[v], v);
 
-  auto rollback = [&] {
-    for (auto rit = pi_undo_.rbegin(); rit != pi_undo_.rend(); ++rit) {
-      pi_[rit->first] = rit->second;
-    }
-  };
-
-  while (!queue.empty()) {
-    const auto [slack, t] = queue.top();
-    queue.pop();
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    const auto [slack, t] = heap_.back();
+    heap_.pop_back();
     if (scanned_[t] == repair_stamp_) continue;                    // already committed
     if (stamp_[t] != repair_stamp_ || gamma_[t] - pi_[t] != slack) continue;  // stale
     if (slack >= 0) continue;  // no violation left on this node
@@ -107,7 +139,9 @@ bool IdlTheory::add_edge(IntVarId u, IntVarId v, std::int64_t w, Lit lit) {
         walk = e.from;
       }
       MCSYM_ASSERT_MSG(walk == v, "explanation chain must end at the new edge head");
-      rollback();
+      for (auto rit = pi_undo_.rbegin(); rit != pi_undo_.rend(); ++rit) {
+        pi_[rit->first] = rit->second;
+      }
       return false;
     }
 
@@ -125,13 +159,12 @@ bool IdlTheory::add_edge(IntVarId u, IntVarId v, std::int64_t w, Lit lit) {
         gamma_[e.to] = candidate;
         stamp_[e.to] = repair_stamp_;
         parent_edge_[e.to] = ei;
-        queue.emplace(candidate - pi_[e.to], e.to);
+        push(candidate - pi_[e.to], e.to);
       }
     }
   }
 
   MCSYM_ASSERT_MSG(pi_[u] + w - pi_[v] >= 0, "repair must restore feasibility");
-  record();
   return true;
 }
 

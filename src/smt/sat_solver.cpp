@@ -160,32 +160,57 @@ ClauseRef SatSolver::propagate() {
   return conflict;
 }
 
-bool SatSolver::theory_propagate(std::vector<Lit>& conflict_out) {
+SatSolver::TheoryStep SatSolver::theory_propagate(std::vector<Lit>& conflict_out) {
   if (theory_ == nullptr) {
     theory_head_ = trail_.size();
-    return true;
+    return TheoryStep::kQuiet;
   }
   while (theory_head_ < trail_.size()) {
     const Lit p = trail_[theory_head_];
-    if (theory_relevant_[p.var()] != 0) {
-      if (!theory_->theory_assign(p)) {
-        ++stats_.theory_conflicts;
-        conflict_out.clear();
-        std::vector<Lit> expl;
-        theory_->theory_explain(expl);
-        MCSYM_ASSERT_MSG(!expl.empty(), "theory conflict needs an explanation");
-        for (const Lit l : expl) {
-          MCSYM_ASSERT_MSG(value(l) == LBool::kTrue,
-                           "theory explanations must cite true literals");
-          conflict_out.push_back(~l);
-        }
-        return false;
-      }
-      theory_trail_.push_back(p);
+    if (theory_relevant_[p.var()] == 0) {
+      ++theory_head_;
+      continue;
     }
+    theory_implied_.clear();
+    if (!theory_->theory_assign(p, theory_implied_)) {
+      // theory_head_ stays on p: the theory did not record it.
+      ++stats_.theory_conflicts;
+      conflict_out.clear();
+      std::vector<Lit> expl;
+      theory_->theory_explain(expl);
+      MCSYM_ASSERT_MSG(!expl.empty(), "theory conflict needs an explanation");
+      for (const Lit l : expl) {
+        MCSYM_ASSERT_MSG(value(l) == LBool::kTrue,
+                         "theory explanations must cite true literals");
+        conflict_out.push_back(~l);
+      }
+      return TheoryStep::kConflict;
+    }
+    theory_trail_.push_back(p);
     ++theory_head_;
+    if (!theory_implied_.empty()) {
+      for (const Lit l : theory_implied_) enqueue_implied(l, p);
+      // Boolean propagation runs before the theory sees its next literal, so
+      // the lemmas already in the database fire first and the theory never
+      // derives one of them again.
+      return TheoryStep::kImplied;
+    }
   }
-  return true;
+  return TheoryStep::kQuiet;
+}
+
+void SatSolver::enqueue_implied(Lit l, Lit antecedent) {
+  ++stats_.theory_propagations;
+  if (decision_level() == 0) {
+    enqueue(l, kNoClause);  // a level-0 fact, like a unit clause
+    return;
+  }
+  const Lit lemma[] = {l, ~antecedent};
+  const ClauseRef ref = arena_.alloc(lemma, /*learnt=*/true);
+  arena_.deref(ref).set_lbd(2);
+  learnt_clauses_.push_back(ref);
+  attach_clause(ref);
+  enqueue(l, ref);
 }
 
 void SatSolver::cancel_until(std::uint32_t level) {
@@ -481,9 +506,14 @@ SolveResult SatSolver::search() {
       if (!resolve(conflict_lits)) return SolveResult::kUnsat;
       continue;
     }
-    if (!theory_propagate(conflict_lits)) {
-      if (!resolve(conflict_lits)) return SolveResult::kUnsat;
-      continue;
+    switch (theory_propagate(conflict_lits)) {
+      case TheoryStep::kConflict:
+        if (!resolve(conflict_lits)) return SolveResult::kUnsat;
+        continue;
+      case TheoryStep::kImplied:
+        continue;
+      case TheoryStep::kQuiet:
+        break;
     }
 
     if (conflict_budget_ != 0 && conflicts_this_solve_ >= conflict_budget_) {

@@ -4,7 +4,8 @@
 // Feature set: two-literal watching with blockers, 1UIP conflict analysis
 // with recursive clause minimization, EVSIDS branching, phase saving, Luby
 // restarts, LBD-aware learnt-clause reduction, arena GC, assumptions, and a
-// lazy-theory interface (the IDL solver plugs in via TheoryClient).
+// lazy-theory interface with theory propagation (the IDL solver plugs in via
+// TheoryClient).
 #pragma once
 
 #include <cstdint>
@@ -28,11 +29,23 @@ namespace mcsym::smt {
 /// calls `theory_backtrack(kept)` where `kept` is the number of accepted
 /// assignments that remain valid (they form a prefix, since assignments are
 /// fed in trail order and backjumps remove trail suffixes).
+///
+/// Theory propagation: `implied` arrives empty. When `theory_assign(lit,
+/// implied)` accepts `lit`, it may append currently *unassigned* literals
+/// that `lit` alone entails in the theory, each at most once (on a false
+/// return the solver ignores them). The solver assigns each implied `l`
+/// with the binary theory lemma (l ∨ ¬lit) as its reason: a learnt clause
+/// of LBD 2 that is never deleted (at decision level 0, where nothing is
+/// undone, `l` needs no reason). Conflict analysis, clause minimization and
+/// unsat cores thus see ordinary clauses. Boolean propagation then runs
+/// before the theory is fed its next literal. An implied literal that is
+/// already false is an ordinary theory conflict: return false and explain
+/// it as {lit, ¬l}, whose clause is that lemma.
 class TheoryClient {
  public:
   virtual ~TheoryClient() = default;
 
-  virtual bool theory_assign(Lit lit) = 0;
+  virtual bool theory_assign(Lit lit, std::vector<Lit>& implied) = 0;
   virtual void theory_backtrack(std::size_t kept) = 0;
 
   /// Called on a full boolean assignment with no pending conflicts. Returning
@@ -50,6 +63,7 @@ struct SatStats {
   std::uint64_t propagations = 0;
   std::uint64_t conflicts = 0;
   std::uint64_t theory_conflicts = 0;
+  std::uint64_t theory_propagations = 0;  // literals assigned by theory lemmas
   std::uint64_t restarts = 0;
   std::uint64_t learnt_literals = 0;
   std::uint64_t minimized_literals = 0;
@@ -131,7 +145,9 @@ class SatSolver {
   void detach_clause(ClauseRef ref);
   void enqueue(Lit l, ClauseRef reason);
   ClauseRef propagate();
-  bool theory_propagate(std::vector<Lit>& conflict_out);
+  enum class TheoryStep : std::uint8_t { kQuiet, kImplied, kConflict };
+  TheoryStep theory_propagate(std::vector<Lit>& conflict_out);
+  void enqueue_implied(Lit l, Lit antecedent);
   void cancel_until(std::uint32_t level);
   void analyze(std::span<const Lit> conflict, std::vector<Lit>& learnt,
                std::uint32_t& backtrack_level, std::uint32_t& lbd);
@@ -165,6 +181,7 @@ class SatSolver {
   TheoryClient* theory_ = nullptr;
   std::vector<Lit> theory_trail_;  // accepted theory assignments, trail order
   std::size_t theory_head_ = 0;    // next trail index to feed to the theory
+  std::vector<Lit> theory_implied_;  // theory_assign's out-parameter
 
   // Watchers, indexed by literal code.
   std::vector<std::vector<Watcher>> watches_;
