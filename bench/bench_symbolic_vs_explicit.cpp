@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
 
 #include "check/dpor.hpp"
 #include "check/explicit_checker.hpp"
@@ -15,6 +16,7 @@
 #include "check/verifier.hpp"
 #include "check/workloads.hpp"
 #include "mcapi/executor.hpp"
+#include "mcapi/program.hpp"
 #include "support/stats.hpp"
 #include "trace/trace.hpp"
 
@@ -218,18 +220,26 @@ void BM_Dpor_MessageRace_SleepSet(benchmark::State& state) {
 BENCHMARK(BM_Dpor_MessageRace_SleepSet)->Arg(2)->Arg(3)->Arg(4);
 
 // The sharded symbolic stage on its worker axis: one Verifier symbolic run
-// (record + encode + solve + witness replay per trace) with the per-trace
-// pipeline distributed across N workers claiming trace indices from a
-// queue. Real time is the honest metric — cpu_time sums the fleet. The
-// verdict and every counter are byte-identical across the axis (pinned by
-// verifier_test); this series tracks whether the sharding actually buys
-// wall clock on a multi-trace request. `decisions` and `conflicts` are the
-// SAT search effort of one request, summed over its trace checks: the
-// nightly ceiling on `decisions` catches a solver change that loses theory
+// (record every trace, solve one per distinct projection, replay every SAT
+// witness) with each phase's work claimed from a queue by N workers. Real
+// time is the honest metric — cpu_time sums the fleet. The verdict and
+// every counter are byte-identical across the axis (pinned by
+// verifier_test).
+//
+// BM_Symbolic_Sharded runs message_race(4,2), whose 16 traces share one
+// projection: one solve answers all of them, so this series tracks the
+// cost of a request with nothing left to shard, and `solver_calls` pins
+// the deduplication (the nightly ceiling is 1). `decisions` and
+// `conflicts` are the SAT search effort of that request: the nightly
+// ceiling on `decisions` catches a solver change that loses theory
 // propagation without changing any verdict.
-void BM_Symbolic_Sharded(benchmark::State& state) {
+//
+// BM_Symbolic_Sharded_Distinct runs branching_race(): the receiver branches
+// on which sender's message came first, so its 16 traces fall into up to 4
+// projections, i.e. 4 solves a fleet can share out. This series carries the
+// nightly 4-vs-1 worker floor.
+void symbolic_sharded(benchmark::State& state, const mcapi::Program& p) {
   const auto workers = static_cast<std::uint32_t>(state.range(0));
-  const mcapi::Program p = wl::message_race(4, 2);
   check::VerifyRequest req;
   req.engine = check::Engine::kSymbolic;
   req.traces = 16;
@@ -237,6 +247,7 @@ void BM_Symbolic_Sharded(benchmark::State& state) {
   check::Verdict verdict = check::Verdict::kUnknown;
   std::uint64_t decisions = 0;
   std::uint64_t conflicts = 0;
+  std::uint64_t solver_calls = 0;
   for (auto _ : state) {
     check::Verifier verifier;
     const check::VerifyReport report = verifier.verify(p, req);
@@ -244,14 +255,64 @@ void BM_Symbolic_Sharded(benchmark::State& state) {
     for (const auto& [name, value] : report.engines.back().counters) {
       if (name == "decisions") decisions = value;
       if (name == "conflicts") conflicts = value;
+      if (name == "solver_calls") solver_calls = value;
     }
     benchmark::DoNotOptimize(&report);
   }
   state.counters["safe"] = verdict == check::Verdict::kSafe ? 1 : 0;
   state.counters["decisions"] = static_cast<double>(decisions);
   state.counters["conflicts"] = static_cast<double>(conflicts);
+  state.counters["solver_calls"] = static_cast<double>(solver_calls);
+}
+
+void BM_Symbolic_Sharded(benchmark::State& state) {
+  symbolic_sharded(state, wl::message_race(4, 2));
 }
 BENCHMARK(BM_Symbolic_Sharded)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+/// message_race(4,2) whose receiver branches on the sender of the first
+/// message it gets (by FIFO, sequence 0 of some sender), records that
+/// sender, then drains the other 7 messages. Each winner pins a different
+/// branch path, so traces split by projection on who won the race.
+mcapi::Program branching_race() {
+  constexpr std::uint32_t kSenders = 4;
+  constexpr std::uint32_t kMsgsEach = 2;
+  mcapi::Program p;
+  auto rx = p.add_thread("rx");
+  const mcapi::EndpointRef sink = p.add_endpoint("sink", rx.ref());
+  for (std::uint32_t s = 0; s < kSenders; ++s) {
+    auto tx = p.add_thread("tx" + std::to_string(s));
+    const mcapi::EndpointRef out =
+        p.add_endpoint("out" + std::to_string(s), tx.ref());
+    for (std::uint32_t k = 0; k < kMsgsEach; ++k) {
+      tx.send(out, sink, 100 * (s + 1) + k);
+    }
+  }
+  rx.recv(sink, "m0");
+  for (std::uint32_t s = 0; s + 1 < kSenders; ++s) {
+    const std::string won = "won" + std::to_string(s);
+    rx.jump_if(mcapi::Cond{rx.v("m0"), mcapi::Rel::kEq,
+                           mcapi::ThreadBuilder::c(100 * (s + 1))},
+               won);
+  }
+  rx.assign("first", mcapi::ThreadBuilder::c(kSenders - 1)).jump("drain");
+  for (std::uint32_t s = 0; s + 1 < kSenders; ++s) {
+    rx.label("won" + std::to_string(s))
+        .assign("first", mcapi::ThreadBuilder::c(s))
+        .jump("drain");
+  }
+  rx.label("drain");
+  for (std::uint32_t m = 1; m < kSenders * kMsgsEach; ++m) {
+    rx.recv(sink, "m" + std::to_string(m));
+  }
+  p.finalize();
+  return p;
+}
+
+void BM_Symbolic_Sharded_Distinct(benchmark::State& state) {
+  symbolic_sharded(state, branching_race());
+}
+BENCHMARK(BM_Symbolic_Sharded_Distinct)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // The state-fork micro-bench behind the whole refactor: forking the
 // execution state mid-exploration by copy-the-world (what every frame of

@@ -36,7 +36,8 @@ RandomProgramOptions shape_for(support::Rng& rng, bool allow_deadlocks) {
 std::string DifferentialReport::summary() const {
   std::ostringstream os;
   os << "differential: " << programs << " programs, " << traces << " traces ("
-     << sat_verdicts << " SAT / " << unsat_verdicts << " UNSAT), "
+     << sat_verdicts << " SAT / " << unsat_verdicts << " UNSAT, "
+     << traces - solver_calls << " answered by reuse), "
      << witnesses_replayed << " witnesses replayed, " << enumerations_checked
      << " enumerations cross-checked, " << skipped_truncated
      << " skipped on budget, " << dpor_skipped << " DPOR-skipped, "
@@ -101,6 +102,9 @@ void differential_iteration(std::uint64_t seed, const DifferentialOptions& optio
 
   ++report.programs;
   report.traces += ps.traces_checked;
+  for (const auto& [name, value] : vr.engines.back().counters) {
+    if (name == "solver_calls") report.solver_calls += value;
+  }
   report.sat_verdicts += ps.sat_verdicts;
   report.unsat_verdicts += ps.unsat_verdicts;
   report.witnesses_replayed += ps.witnesses_replayed;

@@ -85,6 +85,9 @@ struct DifferentialMismatch {
 struct DifferentialReport {
   std::uint64_t programs = 0;          // programs fully cross-checked
   std::uint64_t traces = 0;            // traces symbolically checked
+  /// SMT solves behind those traces: one per distinct trace projection of
+  /// a program, so traces - solver_calls were answered by reuse.
+  std::uint64_t solver_calls = 0;
   std::uint64_t sat_verdicts = 0;
   std::uint64_t unsat_verdicts = 0;
   std::uint64_t witnesses_replayed = 0;

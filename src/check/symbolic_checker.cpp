@@ -1,11 +1,76 @@
 #include "check/symbolic_checker.hpp"
 
 #include <string>
+#include <tuple>
+#include <type_traits>
+#include <vector>
 
 #include "support/assert.hpp"
 #include "support/stats.hpp"
 
 namespace mcsym::check {
+namespace {
+
+auto expr_fields(const mcapi::ValueExpr& e) {
+  return std::tie(e.kind, e.var, e.slot, e.k);
+}
+
+/// The fields same_projection compares: all of ExecEvent but `uid`,
+/// `value` and the thread (implied by the walk).
+auto projected_fields(const mcapi::ExecEvent& e) {
+  return std::tuple_cat(
+      std::tie(e.kind, e.op_index, e.src, e.dst), expr_fields(e.expr),
+      std::tie(e.var, e.var_slot, e.req, e.issue_op_index, e.loser_issue_ops,
+               e.winner_index),
+      expr_fields(e.cond.lhs), std::tie(e.cond.rel), expr_fields(e.cond.rhs),
+      std::tie(e.outcome));
+}
+
+}  // namespace
+
+bool same_projection(const trace::Trace& a, const trace::Trace& b) {
+  if (a.num_threads() != b.num_threads()) return false;
+  for (mcapi::ThreadRef t = 0; t < a.num_threads(); ++t) {
+    const auto& as = a.thread_events(t);
+    const auto& bs = b.thread_events(t);
+    if (as.size() != bs.size()) return false;
+    for (std::size_t k = 0; k < as.size(); ++k) {
+      if (projected_fields(a.event(as[k]).ev) !=
+          projected_fields(b.event(bs[k]).ev)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+std::uint64_t projection_hash(const trace::Trace& trace) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    h = (h ^ v) * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 29;
+  };
+  const auto field = [&mix](const auto& f) {
+    using F = std::remove_cvref_t<decltype(f)>;
+    if constexpr (std::is_same_v<F, support::Symbol>) {
+      mix(f.raw());
+    } else if constexpr (std::is_same_v<F, std::vector<std::uint32_t>>) {
+      mix(f.size());
+      for (const std::uint32_t x : f) mix(x);
+    } else {
+      mix(static_cast<std::uint64_t>(f));
+    }
+  };
+  mix(trace.num_threads());
+  for (mcapi::ThreadRef t = 0; t < trace.num_threads(); ++t) {
+    mix(trace.thread_events(t).size());
+    for (const trace::EventIndex i : trace.thread_events(t)) {
+      std::apply([&field](const auto&... f) { (field(f), ...); },
+                 projected_fields(trace.event(i).ev));
+    }
+  }
+  return h;
+}
 
 SymbolicChecker::SymbolicChecker(const trace::Trace& trace, SymbolicOptions options)
     : trace_(trace), options_(options) {

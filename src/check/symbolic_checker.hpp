@@ -61,6 +61,21 @@ struct SymbolicEnumeration {
   double seconds = 0;
 };
 
+/// Whether two recorded traces of one program pose the same symbolic
+/// problem. The encoding and the match generators read only each thread's
+/// event sequence, so traces are compared thread by thread in op order
+/// (where an event sits in the observed global order does not matter), on
+/// every ExecEvent field but two: `uid`, the send or matched-send id (a
+/// channel's uids follow its sender's program order, so the two formulas
+/// are equal up to an order-preserving renaming of uid constants and the
+/// order of their clauses), and `value`, the observed payload. Equal traces
+/// get equal verdicts, and a witness of one carries over to the other by
+/// encode::translate_witness.
+[[nodiscard]] bool same_projection(const trace::Trace& a, const trace::Trace& b);
+/// Hash of the fields same_projection compares: equal projections hash
+/// equally.
+[[nodiscard]] std::uint64_t projection_hash(const trace::Trace& trace);
+
 class SymbolicChecker {
  public:
   explicit SymbolicChecker(const trace::Trace& trace, SymbolicOptions options = {});

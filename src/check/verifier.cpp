@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <cstdio>
 #include <mutex>
 #include <sstream>
@@ -311,35 +312,46 @@ void check_dpor_modes(Ctx& ctx, const DporResult& optimal,
   }
 }
 
+constexpr std::uint32_t kNoTrace = 0xffffffffu;
+
 /// One trace's production artifacts — everything the symbolic stage can
 /// compute without touching the report: the recorded trace, the solver
 /// verdict, the attempted witness replay, and the bits of runtime state the
 /// judge needs later (the recording script, concrete-violation details).
-/// Workers fill these concurrently (claim-a-trace-index loop); the judge
-/// consumes them strictly in trace-index order, so the report and the
-/// portfolio counters are written exactly as the old serial loop wrote them.
+/// Workers fill these concurrently; the judge consumes them strictly in
+/// trace-index order, so the report and the portfolio counters are written
+/// exactly as a serial loop over the traces would write them.
 struct SymbolicOutcome {
   std::optional<TraceCheck> tc;        // nullopt: truncated before recording
   std::vector<mcapi::Action> script;   // the recording run's schedule
   std::optional<mcapi::Violation> violation;  // concrete-violation runs only:
   std::vector<mcapi::Violation> violations;   // captured before rollback
   std::optional<std::string> validate_error;
-  bool truncated_at_solve = false;     // cancelled between record and solve
+  bool truncated_at_solve = false;     // refused between record and solve
   std::uint64_t solver_calls = 0;
+  /// The lowest-index trace with this trace's projection: its solve answers
+  /// this trace. kNoTrace until grouped, and for traces with no solve.
+  std::uint32_t answered_by = kNoTrace;
+
+  /// Recorded, ran to completion or to a violation, and well-formed.
+  [[nodiscard]] bool solvable() const {
+    return tc.has_value() && !validate_error.has_value() &&
+           (tc->recorded == mcapi::RunResult::Outcome::kHalted ||
+            tc->recorded == mcapi::RunResult::Outcome::kViolation);
+  }
 };
 
-/// Records, checks and (on SAT) replays trace `t` into `out`, using one
-/// worker's journaling `workspace`. Every step is deterministic given the
-/// trace index — the scheduler is seeded per index, the solver session is
-/// self-contained — so sharded production is indistinguishable from serial.
-void produce_symbolic_trace(Ctx& ctx, const SymbolicOptions& so,
-                            std::uint32_t t, mcapi::System& workspace,
-                            SymbolicOutcome& out) {
+/// Phase 1: records trace `t` into `out` on one worker's journaling
+/// `workspace`. Deterministic given the index: the scheduler is seeded per
+/// index. Returns false, leaving `out.tc` empty, when the wall clock or the
+/// progress callback refuses the recording.
+bool record_symbolic_trace(Ctx& ctx, std::uint32_t t, mcapi::System& workspace,
+                           SymbolicOutcome& out) {
   const VerifyRequest& req = ctx.request;
   if (ctx.wall_exhausted() ||
       ctx.cancel_requested.load(std::memory_order_relaxed) ||
       !ctx.fire(Engine::kSymbolic, "record-trace")) {
-    return;  // tc stays empty: the judge truncates at this index
+    return false;  // the judge truncates at this index
   }
   workspace.rollback(0);
   trace::Trace tr(ctx.program);
@@ -360,7 +372,7 @@ void produce_symbolic_trace(Ctx& ctx, const SymbolicOptions& so,
 
   if (rr.outcome == mcapi::RunResult::Outcome::kStepLimit ||
       rr.outcome == mcapi::RunResult::Outcome::kDeadlock) {
-    return;  // judged from the outcome alone
+    return true;  // judged from the outcome alone
   }
   if (rr.outcome == mcapi::RunResult::Outcome::kViolation) {
     // Captured now: this worker's workspace is rolled back for its next
@@ -370,7 +382,7 @@ void produce_symbolic_trace(Ctx& ctx, const SymbolicOptions& so,
   }
   if (const auto err = tc.trace.validate()) {
     out.validate_error = *err;
-    return;
+    return true;
   }
   for (trace::EventIndex i = 0; i < tc.trace.size(); ++i) {
     if (tc.trace.event(i).ev.kind == mcapi::ExecEvent::Kind::kAssert) {
@@ -378,15 +390,80 @@ void produce_symbolic_trace(Ctx& ctx, const SymbolicOptions& so,
       break;
     }
   }
-  if (!ctx.fire(Engine::kSymbolic, "solve")) {
+  return true;
+}
+
+/// Phase 2: files every solvable trace of the recorded prefix under the
+/// lowest-index trace with the same projection (same_projection) and
+/// returns those representatives in index order. Traces past the first
+/// unrecorded index stay ungrouped: the judge discards them.
+std::vector<std::uint32_t> group_by_projection(
+    std::vector<SymbolicOutcome>& outcomes) {
+  std::vector<std::uint32_t> reps;
+  std::vector<std::uint64_t> rep_hashes;
+  for (std::uint32_t t = 0; t < outcomes.size() && outcomes[t].tc.has_value();
+       ++t) {
+    SymbolicOutcome& out = outcomes[t];
+    if (!out.solvable()) continue;
+    const std::uint64_t hash = projection_hash(out.tc->trace);
+    out.answered_by = t;
+    for (std::size_t g = 0; g < reps.size(); ++g) {
+      if (rep_hashes[g] == hash &&
+          same_projection(outcomes[reps[g]].tc->trace, out.tc->trace)) {
+        out.answered_by = reps[g];
+        break;
+      }
+    }
+    if (out.answered_by == t) {
+      reps.push_back(t);
+      rep_hashes.push_back(hash);
+    }
+  }
+  return reps;
+}
+
+/// Phase 3: SMT-checks one group's representative. A solve refused by the
+/// wall clock or the progress callback marks it truncated_at_solve, which
+/// its duplicates inherit in phase 4.
+void solve_symbolic_trace(Ctx& ctx, const SymbolicOptions& so,
+                          SymbolicOutcome& out) {
+  if (ctx.wall_exhausted() || !ctx.fire(Engine::kSymbolic, "solve")) {
     out.truncated_at_solve = true;
     return;
   }
+  TraceCheck& tc = *out.tc;
   SymbolicChecker checker(tc.trace, so);
-  tc.verdict = checker.check(req.properties);
+  tc.verdict = checker.check(ctx.request.properties);
   tc.checked = true;
   out.solver_calls = checker.solver_calls();
-  if (req.replay_witnesses && tc.verdict.result == smt::SolveResult::kSat &&
+}
+
+/// Phase 4: a duplicate takes its representative's answer — result, encode
+/// stats, variable count, and the witness translated onto its own events —
+/// with its work counters left at 0. Every SAT witness, duplicates' too, is
+/// then replayed on its own trace, so a projection key that merged two
+/// different problems shows up as a replay disagreement, not as a silently
+/// wrong answer.
+void finish_symbolic_trace(Ctx& ctx, const SymbolicOutcome& rep,
+                           mcapi::System& workspace, SymbolicOutcome& out) {
+  TraceCheck& tc = *out.tc;
+  if (&rep != &out) {
+    if (rep.truncated_at_solve) {
+      out.truncated_at_solve = true;
+      return;
+    }
+    const SymbolicVerdict& answer = rep.tc->verdict;
+    tc.verdict.result = answer.result;
+    tc.verdict.encode_stats = answer.encode_stats;
+    tc.verdict.sat_vars = answer.sat_vars;
+    if (answer.witness.has_value()) {
+      tc.verdict.witness =
+          encode::translate_witness(*answer.witness, rep.tc->trace, tc.trace);
+    }
+    tc.checked = true;
+  }
+  if (ctx.request.replay_witnesses && tc.checked &&
+      tc.verdict.result == smt::SolveResult::kSat &&
       tc.verdict.witness.has_value()) {
     // Continue-past-violation replay: realize the *whole* execution the
     // model values, every fired assert included, and hold the matching to
@@ -405,11 +482,16 @@ struct SymbolicProduction {
   double seconds = 0;  // wall clock of the production phase
 };
 
-/// The production half of the symbolic engine: record + check + replay for
-/// every requested trace. With request.workers > 1 the trace indices are
-/// claimed from a shared atomic counter by that many threads, each with its
-/// own journaling System. `shared_workspace` (optional, serial path only)
-/// reuses the portfolio's System instead of building one.
+/// The production half of the symbolic engine, in phases separated by
+/// barriers of one worker pool: record every requested trace, group the
+/// solvable ones by projection, solve one representative per group, then
+/// answer the duplicates and replay every SAT witness. Each phase's items
+/// (trace indices, groups) are claimed from a shared counter by
+/// min(request.workers, traces) workers, each with its own journaling
+/// System; the calling thread is worker 0 and uses `shared_workspace` when
+/// given (the serial portfolio's System) instead of building one. Every
+/// step is deterministic given its index, so the outcomes are the same at
+/// every worker count.
 SymbolicProduction produce_symbolic(Ctx& ctx,
                                     mcapi::System* shared_workspace = nullptr) {
   const support::Stopwatch timer;
@@ -424,41 +506,56 @@ SymbolicProduction produce_symbolic(Ctx& ctx,
   // results stay available in trace_checks.
   prod.assert_props =
       prod.so.encode.property_mode == encode::PropertyMode::kAssert;
-  prod.outcomes.resize(req.traces);
+  std::vector<SymbolicOutcome>& outcomes = prod.outcomes;
+  outcomes.resize(req.traces);
 
   const std::uint32_t workers =
       std::min(std::max(req.workers, 1u), std::max(req.traces, 1u));
-  if (workers <= 1) {
-    std::optional<mcapi::System> own_workspace;
-    if (shared_workspace == nullptr) {
-      own_workspace.emplace(ctx.program, req.mode);
-      own_workspace->enable_undo_log();
+  std::vector<std::uint32_t> reps;
+  std::atomic<std::uint32_t> next_record{0};
+  std::atomic<std::uint32_t> next_solve{0};
+  std::atomic<std::uint32_t> next_finish{0};
+  const auto claim = [](std::atomic<std::uint32_t>& next) {
+    return next.fetch_add(1, std::memory_order_relaxed);
+  };
+  std::barrier recorded(workers,
+                        [&]() noexcept { reps = group_by_projection(outcomes); });
+  std::barrier<> solved(workers);
+  const auto work = [&](mcapi::System& workspace) {
+    for (std::uint32_t t; (t = claim(next_record)) < req.traces;) {
+      // A refusal latches (cancel) or persists (wall clock), so later
+      // indices would be refused too; the judge stops at the first gap.
+      if (!record_symbolic_trace(ctx, t, workspace, outcomes[t])) break;
     }
-    mcapi::System& workspace =
-        shared_workspace != nullptr ? *shared_workspace : *own_workspace;
-    for (std::uint32_t t = 0; t < req.traces; ++t) {
-      SymbolicOutcome& out = prod.outcomes[t];
-      produce_symbolic_trace(ctx, prod.so, t, workspace, out);
-      // The judge stops at the first truncated index; later traces would be
-      // refused (the cancel latch / wall budget stays tripped) — skip them.
-      if (!out.tc.has_value() || out.truncated_at_solve) break;
+    recorded.arrive_and_wait();
+    for (std::uint32_t g; (g = claim(next_solve)) < reps.size();) {
+      solve_symbolic_trace(ctx, prod.so, outcomes[reps[g]]);
     }
-  } else {
-    std::atomic<std::uint32_t> next{0};
-    auto worker_fn = [&ctx, &req, &prod, &next] {
-      mcapi::System workspace(ctx.program, req.mode);
-      workspace.enable_undo_log();
-      for (;;) {
-        const std::uint32_t t = next.fetch_add(1, std::memory_order_relaxed);
-        if (t >= req.traces) return;
-        produce_symbolic_trace(ctx, prod.so, t, workspace, prod.outcomes[t]);
+    solved.arrive_and_wait();
+    for (std::uint32_t t; (t = claim(next_finish)) < req.traces;) {
+      SymbolicOutcome& out = outcomes[t];
+      if (out.answered_by != kNoTrace) {
+        finish_symbolic_trace(ctx, outcomes[out.answered_by], workspace, out);
       }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::uint32_t w = 0; w < workers; ++w) pool.emplace_back(worker_fn);
-    for (std::thread& th : pool) th.join();
+    }
+  };
+  const auto own_workspace_work = [&ctx, &req, &work] {
+    mcapi::System workspace(ctx.program, req.mode);
+    workspace.enable_undo_log();
+    work(workspace);
+  };
+
+  std::vector<std::thread> pool;
+  pool.reserve(workers - 1);
+  for (std::uint32_t w = 1; w < workers; ++w) {
+    pool.emplace_back(own_workspace_work);
   }
+  if (shared_workspace != nullptr) {
+    work(*shared_workspace);
+  } else {
+    own_workspace_work();
+  }
+  for (std::thread& th : pool) th.join();
   prod.seconds = timer.seconds();
   return prod;
 }
@@ -713,14 +810,14 @@ void judge_symbolic(Ctx& ctx, SymbolicProduction prod,
   ctx.report.engines.push_back(std::move(run));
 }
 
-/// The symbolic engine: record `request.traces` traces, SMT-check each,
-/// replay SAT witnesses — sharded across request.workers threads, then
-/// judged serially (verdicts, matchings, witnesses and counters identical
-/// to serial at every worker count). With `truth` (portfolio mode) every
-/// verdict is cross-checked against the explicit ground truth.
-/// `shared_workspace` (optional, serial production only) is a journaling
-/// System for the program, reused for every concrete run instead of
-/// constructing a fresh one.
+/// The symbolic engine: record `request.traces` traces, SMT-check one per
+/// distinct projection, replay SAT witnesses — sharded across
+/// request.workers threads, then judged serially (verdicts, matchings,
+/// witnesses and counters identical at every worker count). With `truth`
+/// (portfolio mode) every verdict is cross-checked against the explicit
+/// ground truth. `shared_workspace` (optional) is a journaling System for
+/// the program, reused by the calling thread instead of constructing a
+/// fresh one.
 void run_symbolic(Ctx& ctx, const ExplicitResult* truth, PortfolioStats& ps,
                   mcapi::System* shared_workspace = nullptr) {
   judge_symbolic(ctx, produce_symbolic(ctx, shared_workspace), truth, ps);

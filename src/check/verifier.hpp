@@ -80,13 +80,13 @@ struct VerifyRequest {
   mcapi::DeliveryMode mode = mcapi::DeliveryMode::kArbitraryDelay;
 
   /// Worker threads. >1 shards optimal-DPOR exploration across that many
-  /// threads (DporOptions::workers), shards the symbolic stage's per-trace
-  /// pipeline (record, encode, solve, witness replay) across that many
-  /// workers claiming trace indices from a queue, and makes portfolio mode
-  /// run every engine concurrently under the same joint wall-clock budget.
-  /// Sharded production is judged serially in trace-index order, so
-  /// verdicts, matchings, witnesses and counters stay identical to serial
-  /// at every worker count. The progress callback is then fired from
+  /// threads (DporOptions::workers), shards the symbolic stage (recording,
+  /// the solves, witness replay) across that many workers claiming traces
+  /// and solves from a queue, and makes portfolio mode run every engine
+  /// concurrently under the same joint wall-clock budget. Sharded
+  /// production is judged serially in trace-index order, so verdicts,
+  /// matchings, witnesses and counters stay identical to serial at every
+  /// worker count. The progress callback is then fired from
   /// several threads and must be thread-safe; cancellation still stops
   /// every engine. 1 = fully serial (default, byte-identical reports to
   /// previous releases).
@@ -95,7 +95,11 @@ struct VerifyRequest {
   /// Symbolic / portfolio: how many traces to record and check, and the
   /// scheduler seed of the first. Trace i runs RandomScheduler(trace_seed +
   /// i) with a cycling delivery bias, so consecutive traces sample
-  /// different schedule shapes.
+  /// different schedule shapes. Every trace is answered, but with one solve
+  /// per distinct projection (check::same_projection): a trace whose
+  /// per-thread event sequences an earlier trace already had takes that
+  /// trace's verdict and witness, and the witness is still replayed on
+  /// its own trace.
   std::uint64_t trace_seed = 1;
   std::uint32_t traces = 1;
   /// Record trace(s) under the deterministic round-robin scheduler instead.

@@ -54,6 +54,34 @@ Witness decode_witness(const smt::Solver& solver, const Encoding& enc,
   return w;
 }
 
+Witness translate_witness(const Witness& witness, const trace::Trace& from,
+                          const trace::Trace& to) {
+  MCSYM_ASSERT(from.num_threads() == to.num_threads());
+  std::vector<EventIndex> to_index(from.size(), trace::kNoEvent);
+  for (mcapi::ThreadRef t = 0; t < from.num_threads(); ++t) {
+    const auto& src = from.thread_events(t);
+    const auto& dst = to.thread_events(t);
+    MCSYM_ASSERT(src.size() == dst.size());
+    for (std::size_t k = 0; k < src.size(); ++k) to_index[src[k]] = dst[k];
+  }
+  const auto at = [&to_index](EventIndex e) { return to_index[e]; };
+  Witness w;
+  for (const auto& [r, s] : witness.matching) w.matching.emplace_back(at(r), at(s));
+  for (const auto& [r, v] : witness.recv_values) w.recv_values.emplace_back(at(r), v);
+  for (const EventIndex e : witness.linearization) w.linearization.push_back(at(e));
+  for (const auto& [e, clk] : witness.clock_values) {
+    w.clock_values.emplace_back(at(e), clk);
+  }
+  for (const auto& [r, bind] : witness.bind_values) {
+    w.bind_values.emplace_back(at(r), bind);
+  }
+  std::sort(w.matching.begin(), w.matching.end());
+  std::sort(w.recv_values.begin(), w.recv_values.end());
+  std::sort(w.bind_values.begin(), w.bind_values.end());
+  w.violated = witness.violated;
+  return w;
+}
+
 std::string Witness::to_string(const trace::Trace& trace) const {
   const mcapi::Program& prog = trace.program();
   std::ostringstream os;

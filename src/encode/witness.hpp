@@ -36,4 +36,14 @@ struct Witness {
 [[nodiscard]] Witness decode_witness(const smt::Solver& solver, const Encoding& enc,
                                      const trace::Trace& trace);
 
+/// Rewrites a witness of `from` into the event indices of `to`, a trace with
+/// the same per-thread event sequences (check::same_projection): the k-th
+/// event of thread t in `from` becomes the k-th event of thread t in `to`,
+/// i.e. the event with the same (thread, op_index). Index-sorted lists are
+/// re-sorted; the clock order is kept, since its ties break on
+/// (thread, op_index).
+[[nodiscard]] Witness translate_witness(const Witness& witness,
+                                        const trace::Trace& from,
+                                        const trace::Trace& to);
+
 }  // namespace mcsym::encode

@@ -99,6 +99,27 @@ TEST(DifferentialFuzz, ParallelDporAgreesWithSerial) {
   EXPECT_GT(report.programs, opts.iterations / 2) << report.summary();
 }
 
+TEST(DifferentialFuzz, ManyTracesPerProgramAgree) {
+  // Eight traces per program make traces with equal projections common, so
+  // most are answered by a solve of another trace: its verdict and its
+  // witness, carried over and replayed on the answered trace. Any wrong
+  // reuse would surface as a verdict split or a witness that fails to
+  // replay.
+  DifferentialOptions opts;
+  opts.traces_per_program = 8;
+  opts.iterations = support::env_u64("MCSYM_TEST_ITERS", 150);
+
+  const DifferentialReport report =
+      run_differential(0x64757073ULL /*"dups"*/, opts);
+  std::cerr << "[differential/traces=8] " << report.summary() << "\n";
+  report_mismatches(report, "traces=8");
+  EXPECT_GT(report.programs, opts.iterations / 2) << report.summary();
+  if (opts.iterations >= 50) {
+    EXPECT_GT(report.traces, report.solver_calls) << report.summary();
+    EXPECT_GT(report.witnesses_replayed, 0u) << report.summary();
+  }
+}
+
 TEST(DifferentialFuzz, DeterministicForFixedSeed) {
   DifferentialOptions opts;
   opts.iterations = 20;

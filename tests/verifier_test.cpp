@@ -9,7 +9,11 @@
 #include <atomic>
 #include <cctype>
 #include <cstdint>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/verifier.hpp"
@@ -82,6 +86,14 @@ Program safe_handshake() {
   t0.recv(e0, "A").assert_that(Cond{t0.v("A"), Rel::kEq, ThreadBuilder::c(5)});
   p.finalize();
   return p;
+}
+
+std::uint64_t counter(const EngineRun& run, std::string_view name) {
+  for (const auto& [key, value] : run.counters) {
+    if (key == name) return value;
+  }
+  ADD_FAILURE() << "no counter " << name;
+  return 0;
 }
 
 // --- Unified verdicts across engines --------------------------------------------
@@ -342,11 +354,13 @@ TEST(VerifierTest, ShardedDporEngineReportsThroughTheFacade) {
 }
 
 TEST(VerifierTest, ShardedSymbolicStageIsByteIdenticalToSerial) {
-  // The symbolic stage shards per-trace production across workers but is
-  // judged serially in trace-index order, so the whole JSON report —
-  // verdicts, witnesses, counters, portfolio stats — must be byte-identical
-  // to the serial run at every worker count (timing fields zeroed, the one
-  // nondeterministic ingredient). The only legitimate worker-count
+  // The symbolic stage shards recording, the one solve per distinct trace
+  // projection, and witness replay across workers but is judged serially
+  // in trace-index order, so the whole JSON report — verdicts, witnesses,
+  // counters, portfolio stats — must be byte-identical to the serial run at
+  // every worker count (timing fields zeroed, the one nondeterministic
+  // ingredient). 16 traces hold duplicates, so which trace answers which
+  // is part of what must not depend on the worker count. The only legitimate worker-count
   // artifacts are the DPOR engines' worker-only counters (duplicates,
   // echoed worker count, scheduler telemetry), which exist solely when
   // workers > 1; they are stripped before comparing.
@@ -379,10 +393,13 @@ TEST(VerifierTest, ShardedSymbolicStageIsByteIdenticalToSerial) {
       for (const std::uint32_t workers : {1u, 2u, 4u, 8u}) {
         VerifyRequest req;
         req.engine = engine;
-        req.traces = 4;
+        req.traces = 16;
         req.workers = workers;
         Verifier verifier;
         VerifyReport report = verifier.verify(c.program, req);
+        const EngineRun& symbolic = report.engines.back();
+        EXPECT_LT(counter(symbolic, "solver_calls"),
+                  counter(symbolic, "traces_checked"));
         zero_report_seconds(report);
         const std::string json = strip_parallel_duplicates(report_to_json(report));
         if (workers == 1) {
@@ -412,6 +429,206 @@ TEST(VerifierTest, ContinuePastViolationReportsEveryViolation) {
   EXPECT_EQ(report.violations[0].op_index + 1, report.violations[1].op_index);
   ASSERT_TRUE(report.violation.has_value());
   EXPECT_EQ(report.violation->op_index, report.violations[0].op_index);
+}
+
+// --- One solve per distinct trace projection -------------------------------------
+
+/// This test's own notion of a trace's projection, independent of the
+/// engine's: the trace's text form with every uid= and value= token
+/// dropped, regrouped thread by thread.
+std::string projection_text(const trace::Trace& trace) {
+  std::map<std::string, std::string> by_thread;
+  std::istringstream text(trace.to_text());
+  for (std::string line; std::getline(text, line);) {
+    std::istringstream tokens(line);
+    std::string thread;
+    std::string kept;
+    for (std::string token; tokens >> token;) {
+      if (token.rfind("uid=", 0) == 0 || token.rfind("value=", 0) == 0) continue;
+      if (token.rfind("t=", 0) == 0) thread = token;
+      kept += token + ' ';
+    }
+    by_thread[thread] += kept + '\n';
+  }
+  std::string key;
+  for (const auto& [thread, lines] : by_thread) key += thread + ":\n" + lines;
+  return key;
+}
+
+TEST(VerifierDedupTest, DuplicateTracesShareOneSolve) {
+  // message_race(4,2)'s receiver takes 8 messages whatever their order, so
+  // all 16 traces have one projection: one solve answers them all, and
+  // every answer is the one a solve of that very trace gives.
+  const Program p = workloads::message_race(4, 2);
+  for (const std::uint32_t workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    VerifyRequest req;
+    req.engine = Engine::kSymbolic;
+    req.traces = 16;
+    req.workers = workers;
+    Verifier verifier;
+    const VerifyReport report = verifier.verify(p, req);
+    const EngineRun& run = report.engines.back();
+    EXPECT_EQ(counter(run, "solver_calls"), 1u);
+    EXPECT_EQ(counter(run, "traces_checked"), 16u);
+    ASSERT_EQ(report.trace_checks.size(), 16u);
+    for (const TraceCheck& tc : report.trace_checks) {
+      ASSERT_TRUE(tc.checked);
+      SymbolicChecker fresh(tc.trace);
+      EXPECT_EQ(tc.verdict.result, fresh.check().result);
+    }
+  }
+}
+
+TEST(VerifierDedupTest, DuplicateWitnessesNameTheirOwnEvents) {
+  // A duplicate's witness is its representative's, carried over event by
+  // event: every index must denote an event of the duplicate's own trace
+  // (each receive matched once, to a send into its endpoint), and the
+  // witness must replay on that trace.
+  struct Case {
+    const char* name;
+    Program program;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"scatter_gather(5)", workloads::scatter_gather(5)});
+  cases.push_back({"nonblocking_gather(4)", workloads::nonblocking_gather(4)});
+  for (const Case& c : cases) {
+    for (const std::uint32_t workers : {1u, 4u}) {
+      SCOPED_TRACE(std::string(c.name) + " workers=" + std::to_string(workers));
+      VerifyRequest req;
+      req.engine = Engine::kSymbolic;
+      req.traces = 16;
+      req.workers = workers;
+      Verifier verifier;
+      const VerifyReport report = verifier.verify(c.program, req);
+      const EngineRun& run = report.engines.back();
+      EXPECT_LT(counter(run, "solver_calls"), counter(run, "traces_checked"));
+      EXPECT_GT(counter(run, "sat"), 0u);
+      EXPECT_EQ(counter(run, "witnesses_replayed"), counter(run, "sat"));
+      for (const TraceCheck& tc : report.trace_checks) {
+        if (!tc.checked || !tc.verdict.witness.has_value()) continue;
+        const encode::Witness& w = *tc.verdict.witness;
+        const trace::Trace& tr = tc.trace;
+        std::vector<trace::EventIndex> anchors;
+        for (const auto& [r, s] : w.matching) {
+          anchors.push_back(r);
+          ASSERT_LT(s, tr.size());
+          EXPECT_EQ(tr.event(s).ev.kind, mcapi::ExecEvent::Kind::kSend);
+          EXPECT_EQ(tr.event(s).ev.dst, tr.event(r).ev.dst);
+        }
+        std::vector<trace::EventIndex> receives = tr.receives();
+        std::sort(receives.begin(), receives.end());
+        EXPECT_EQ(anchors, receives);
+        ASSERT_EQ(w.clock_values.size(), w.linearization.size());
+        for (std::size_t k = 0; k < w.linearization.size(); ++k) {
+          ASSERT_LT(w.linearization[k], tr.size());
+          EXPECT_EQ(w.clock_values[k].first, w.linearization[k]);
+        }
+        for (const auto& [r, bind] : w.bind_values) {
+          EXPECT_NE(std::find(receives.begin(), receives.end(), r),
+                    receives.end());
+        }
+        EXPECT_TRUE(tc.replay.has_value());
+      }
+    }
+  }
+}
+
+TEST(VerifierDedupTest, DifferentProjectionsAreNeverMerged) {
+  // Traces that differ in a branch outcome, a poll outcome, a wait_any
+  // winner, or in ending early at a violation pose different problems:
+  // the engine must solve each such group on its own. The expected solve
+  // count is computed here from the traces' text, not by the engine's key.
+  struct Case {
+    const char* name;
+    Program program;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"branchy_race", workloads::branchy_race()});
+  cases.push_back({"polling_race(3)", workloads::polling_race(3)});
+  cases.push_back({"select_server(2)", workloads::select_server(2)});
+  cases.push_back({"race_with_assert", race_with_assert()});
+  for (const Case& c : cases) {
+    for (const std::uint32_t workers : {1u, 4u}) {
+      SCOPED_TRACE(std::string(c.name) + " workers=" + std::to_string(workers));
+      VerifyRequest req;
+      req.engine = Engine::kSymbolic;
+      req.traces = 16;
+      req.workers = workers;
+      Verifier verifier;
+      const VerifyReport report = verifier.verify(c.program, req);
+      std::set<std::string> distinct;
+      std::set<std::size_t> lengths;
+      for (const TraceCheck& tc : report.trace_checks) {
+        if (!tc.checked) continue;
+        distinct.insert(projection_text(tc.trace));
+        lengths.insert(tc.trace.size());
+      }
+      EXPECT_GT(distinct.size(), 1u) << "the request must hold traces to tell apart";
+      EXPECT_EQ(counter(report.engines.back(), "solver_calls"), distinct.size());
+      if (std::string(c.name) == "race_with_assert") {
+        // A run stops at its failed assert, before the slower sender's
+        // send when that one lost the race: a shorter trace.
+        EXPECT_GT(lengths.size(), 1u);
+      }
+    }
+  }
+}
+
+TEST(VerifierDedupTest, RefusedSolveCancelsBeforeAnySolverCall) {
+  const Program p = workloads::message_race(4, 2);
+  for (const std::uint32_t workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    VerifyRequest req;
+    req.engine = Engine::kSymbolic;
+    req.traces = 16;
+    req.workers = workers;
+    req.progress = [](const Progress& progress) {
+      return std::string_view(progress.stage) != "solve";
+    };
+    Verifier verifier;
+    const VerifyReport report = verifier.verify(p, req);
+    EXPECT_TRUE(report.cancelled);
+    EXPECT_EQ(report.verdict, Verdict::kBudgetExhausted);
+    EXPECT_TRUE(report.engines.back().truncated);
+    EXPECT_EQ(counter(report.engines.back(), "solver_calls"), 0u);
+  }
+}
+
+TEST(VerifierDedupTest, WallClockBudgetTruncatesATracePrefix) {
+  // Whatever a wall-clock budget cuts, the report holds traces 0..k-1 in
+  // index order, each the very trace an unbounded request records there.
+  const Program p = workloads::scatter_gather(5);
+  VerifyRequest full_req;
+  full_req.engine = Engine::kSymbolic;
+  full_req.traces = 16;
+  Verifier verifier;
+  const VerifyReport full = verifier.verify(p, full_req);
+  ASSERT_EQ(full.trace_checks.size(), 16u);
+  for (const std::uint32_t workers : {1u, 4u}) {
+    for (const double seconds : {1e-9, 1e-4, 1e-3, 3e-3}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " max_seconds=" + std::to_string(seconds));
+      VerifyRequest req = full_req;
+      req.workers = workers;
+      req.budget.max_seconds = seconds;
+      const VerifyReport report = verifier.verify(p, req);
+      const EngineRun& run = report.engines.back();
+      const std::uint64_t recorded = counter(run, "traces_recorded");
+      ASSERT_EQ(report.trace_checks.size(), recorded);
+      for (std::size_t i = 0; i < recorded; ++i) {
+        EXPECT_EQ(report.trace_checks[i].trace.to_text(),
+                  full.trace_checks[i].trace.to_text());
+      }
+      if (seconds < 1e-6) {
+        EXPECT_EQ(recorded, 0u);
+        EXPECT_TRUE(run.truncated);
+      }
+      if (run.truncated) {
+        EXPECT_NE(report.verdict, Verdict::kSafe);
+      }
+    }
+  }
 }
 
 // --- The JSON report contract ----------------------------------------------------
